@@ -144,29 +144,4 @@ void BM_EngineSpeedup_CookLevinSource(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSpeedup_CookLevinSource)->Arg(15)->Unit(benchmark::kMillisecond);
 
-void BM_CompiledSpeedup_CookLevinSource(benchmark::State& state) {
-    // Same exhaustive no-instance as the engine-speedup row, but comparing
-    // evaluation backends at equal thread count: interpreted leaves vs the
-    // compiled decision tables' packed 64-wide scan.
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    const LabeledGraph g = cycle_graph(n, "1");
-    const auto id = make_global_ids(g);
-    const ColoringVerifier verifier(2);
-    const FixedOptionsDomain colors({"0", "1"});
-    GameSpec spec;
-    spec.machine = &verifier;
-    spec.layers = {&colors};
-    spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
-    for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
-    }
-    record_compiled_speedup("BM_CompiledSpeedup_CookLevinSource",
-                            "odd_cycle_n=" + std::to_string(n), spec, g, id);
-}
-BENCHMARK(BM_CompiledSpeedup_CookLevinSource)
-    ->Arg(15)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace

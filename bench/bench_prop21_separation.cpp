@@ -77,53 +77,4 @@ BENCHMARK(BM_EngineSpeedup_OddCycleCertificates)
     ->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-void BM_CompiledSpeedup_OddCycleCertificates(benchmark::State& state) {
-    // The same exhaustive no-instance, interpreted vs compiled backends at
-    // equal thread count — the compiled tables turn each leaf probe into one
-    // bit of a packed 64-wide scan.
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    const LabeledGraph g = cycle_graph(n, "1");
-    const auto id = make_global_ids(g);
-    const ColoringVerifier verifier(2);
-    const FixedOptionsDomain colors({"0", "1"});
-    GameSpec spec;
-    spec.machine = &verifier;
-    spec.layers = {&colors};
-    spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
-    for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
-    }
-    record_compiled_speedup("BM_CompiledSpeedup_OddCycleCertificates",
-                            "odd_cycle_n=" + std::to_string(n), spec, g, id);
-}
-BENCHMARK(BM_CompiledSpeedup_OddCycleCertificates)
-    ->Arg(15)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CompiledSpeedup_PeriodicIdOrbits(benchmark::State& state) {
-    // Orbit pruning's best case: identifiers repeat with period 7 around an
-    // even cycle, so the 14 nodes fall into 7 view-isomorphism classes and
-    // every other node's table is shared (compile cost halves while the
-    // verdict and tree size stay bit-identical).  Period 7 is the smallest
-    // that keeps ids locally unique for the coloring verifier's id radius.
-    const LabeledGraph g = cycle_graph(14, "1");
-    const auto id = make_cyclic_ids(g, 7);
-    const ColoringVerifier verifier(2);
-    const FixedOptionsDomain colors({"0", "1"});
-    GameSpec spec;
-    spec.machine = &verifier;
-    spec.layers = {&colors};
-    spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
-    for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
-    }
-    record_compiled_speedup("BM_CompiledSpeedup_PeriodicIdOrbits",
-                            "even_cycle_n=14_period=7", spec, g, id);
-}
-BENCHMARK(BM_CompiledSpeedup_PeriodicIdOrbits)->Unit(benchmark::kMillisecond);
-
 } // namespace

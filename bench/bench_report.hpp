@@ -145,64 +145,4 @@ inline void record_engine_speedup(const std::string& bench,
     report::Recorder::global().record(std::move(row));
 }
 
-/// Solves one certificate game twice at the same thread count — the
-/// interpreted engine vs the compiled decision-table backend (packed 64-wide
-/// evaluation plus orbit sharing) — checks the verdicts and deterministic
-/// counters are bit-identical, and records an instance row with the
-/// compiled-over-interpreted speedup.  A warm-up solve pays the one-off
-/// per-batch compilation before timing, so the row measures steady-state
-/// serving; the compile cost is reported as its own metric.
-inline void record_compiled_speedup(const std::string& bench,
-                                    const std::string& instance,
-                                    const GameSpec& spec, const LabeledGraph& g,
-                                    const IdentifierAssignment& id,
-                                    GameOptions options = {}) {
-    const GameTables tables(spec, g, id);
-
-    GameOptions interpreted = options;
-    interpreted.threads = std::max(4u, ThreadPool::default_participants());
-    interpreted.memoize_views = true;
-    interpreted.backend = GameBackend::Interpreted;
-
-    GameOptions compiled = interpreted;
-    compiled.memoize_views = false; // the tables replace the view cache
-    compiled.backend = GameBackend::Compiled;
-    if (compiled.obs == nullptr) {
-        compiled.obs = obs::Session::active();
-    }
-
-    report::Instance row;
-    row.bench = bench;
-    row.instance = instance;
-    try {
-        // The warm-up solve compiles the tables onto `tables` (exactly what a
-        // service batch pays once for its first same-digest request).
-        const GameResult warm = play_game(spec, tables, g, id, compiled);
-        const double compile_ms = warm.stats.compile_ms;
-        const GameResult inter = play_game(spec, tables, g, id, interpreted);
-        const GameResult comp = play_game(spec, tables, g, id, compiled);
-        const bool agree = inter.accepted == comp.accepted &&
-                           inter.machine_runs == comp.machine_runs &&
-                           inter.faulted_runs == comp.faulted_runs &&
-                           inter.witness == comp.witness;
-        row.outcome = agree ? "ok" : "backend_mismatch";
-        row.wall_ms = comp.stats.wall_ms;
-        row.fault_count = comp.faulted_runs;
-        const double speedup = comp.stats.wall_ms > 0
-                                   ? inter.stats.wall_ms / comp.stats.wall_ms
-                                   : 0.0;
-        obs::MetricsRegistry registry;
-        registry.absorb("", comp.stats.to_metrics());
-        registry.set("speedup", speedup);
-        registry.set("interpreted_wall_ms", inter.stats.wall_ms);
-        registry.set("compiled_wall_ms", comp.stats.wall_ms);
-        registry.set("compile_ms", compile_ms);
-        row.metrics = registry.snapshot();
-    } catch (const std::exception& e) {
-        row.outcome = "error";
-        row.detail = e.what();
-    }
-    report::Recorder::global().record(std::move(row));
-}
-
 } // namespace lph

@@ -6,7 +6,7 @@
 //
 // The headline BENCH row reports p50/p95/p99 end-to-end latency, throughput,
 // rejection rate, and the memo / view-cache hit rates, absorbed from the
-// same ServiceStats/ResultMemoStats/ViewCacheStats lists `lphd --metrics=`
+// same ServiceStats/ResultMemoStats/VerdictTable::Stats lists `lphd --metrics=`
 // exports — one schema across the daemon and the bench.
 
 #include "graph/serialize.hpp"
@@ -113,7 +113,7 @@ struct LoadResult {
     std::uint64_t rejected = 0;
     ServiceStats stats;
     ResultMemoStats memo;
-    ViewCacheStats cache;
+    VerdictTable::Stats cache;
     SnapshotStats snapshot;
 
     double qps() const {
@@ -201,7 +201,7 @@ LoadResult run_load(const std::vector<Request>& workload,
     core.stop();
     result.stats = core.stats();
     result.memo = core.memo_stats();
-    result.cache = core.view_cache_stats();
+    result.cache = core.table_stats();
     result.snapshot = core.snapshot_stats();
     return result;
 }
@@ -518,7 +518,7 @@ void BM_PatchStorm(benchmark::State& state) {
         inc.wall_ms = wall_inc;
         inc.stats = core.stats();
         inc.memo = core.memo_stats();
-        inc.cache = core.view_cache_stats();
+        inc.cache = core.table_stats();
         inc.snapshot = core.snapshot_stats();
         stats = inc.stats;
         record_row("patch_storm_384", inc, wall_full);

@@ -104,29 +104,4 @@ void BM_EngineSpeedup_TwoColorableGame(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSpeedup_TwoColorableGame)->Arg(13)->Unit(benchmark::kMillisecond);
 
-void BM_CompiledSpeedup_TwoColorableGame(benchmark::State& state) {
-    // Backend-vs-backend at equal thread count on the same exhaustive
-    // no-instance: interpreted leaf evaluation vs compiled decision tables
-    // scanned 64 certificates per word.
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    const LabeledGraph g = cycle_graph(n, "");
-    const auto id = make_global_ids(g);
-    const ColoringVerifier verifier(2);
-    const FixedOptionsDomain colors({"0", "1"});
-    GameSpec spec;
-    spec.machine = &verifier;
-    spec.layers = {&colors};
-    spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
-    for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
-    }
-    record_compiled_speedup("BM_CompiledSpeedup_TwoColorableGame",
-                            "odd_cycle_n=" + std::to_string(n), spec, g, id);
-}
-BENCHMARK(BM_CompiledSpeedup_TwoColorableGame)
-    ->Arg(13)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace

@@ -199,7 +199,7 @@ if [[ "${LPH_SKIP_SANITIZERS:-0}" != "1" ]]; then
     cmake --preset tsan
     cmake --build build-tsan
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_(parallel_game|view_cache|game|faults|oracle|obs|service|resilience|lang|admission)'
+        -R 'test_(parallel_game|view_cache|verdict_table|game|faults|oracle|obs|service|resilience|lang|admission)'
 fi
 
 echo "all checks passed"

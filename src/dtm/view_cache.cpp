@@ -1,142 +1,11 @@
 #include "dtm/view_cache.hpp"
 
-#include "obs/trace.hpp"
-
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <queue>
-#include <unordered_set>
+#include <tuple>
 
 namespace lph {
-
-ViewCache::ViewCache(std::size_t max_entries) {
-    max_entries_per_shard_ = std::max<std::size_t>(1, max_entries / kShards);
-}
-
-ViewCache::Shard& ViewCache::shard_for(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
-std::optional<std::string> ViewCache::lookup(const std::string& key) {
-    LPH_SPAN_NAMED(span, "cache", "cache.lookup");
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        span.arg("hit", 0);
-        return std::nullopt;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    span.arg("hit", 1);
-    return it->second->second;
-}
-
-void ViewCache::insert(const std::string& key, const std::string& verdict) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        if (it->second->second != verdict) {
-            // Equal keys must imply equal verdicts; overwriting would mask a
-            // soundness violation, so keep the first verdict and surface the
-            // mismatch (fatally so in debug builds).
-            verdict_mismatches_.fetch_add(1, std::memory_order_relaxed);
-            assert(false && "ViewCache::insert: verdict mismatch for equal keys");
-        }
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    shard.lru.emplace_front(key, verdict);
-    shard.index.emplace(key, shard.lru.begin());
-    while (shard.lru.size() > max_entries_per_shard_) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        obs::Tracer::instance().instant("cache", "cache.evict");
-    }
-}
-
-ViewCacheStats ViewCache::stats() const {
-    ViewCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.verdict_mismatches = verdict_mismatches_.load(std::memory_order_relaxed);
-    for (const Shard& shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        stats.entries += shard.lru.size();
-    }
-    return stats;
-}
-
-obs::MetricList ViewCacheStats::to_metrics() const {
-    return {
-        {"cache.hits", static_cast<double>(hits)},
-        {"cache.misses", static_cast<double>(misses)},
-        {"cache.evictions", static_cast<double>(evictions)},
-        {"cache.entries", static_cast<double>(entries)},
-        {"cache.verdict_mismatches", static_cast<double>(verdict_mismatches)},
-        {"cache.hit_rate", hit_rate()},
-    };
-}
-
-void ViewCache::clear() {
-    for (Shard& shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.lru.clear();
-        shard.index.clear();
-    }
-}
-
-std::vector<std::pair<std::string, std::string>>
-ViewCache::export_entries() const {
-    std::vector<std::pair<std::string, std::string>> entries;
-    for (const Shard& shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        // The list runs MRU-to-LRU; walk it backwards for oldest-first.
-        for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-            entries.push_back(*it);
-        }
-    }
-    return entries;
-}
-
-std::size_t ViewCache::restore(
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-    std::size_t admitted = 0;
-    std::unordered_set<std::string> admitted_keys;
-    for (const auto& [key, verdict] : entries) {
-        Shard& shard = shard_for(key);
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            if (it->second->second != verdict) {
-                verdict_mismatches_.fetch_add(1, std::memory_order_relaxed);
-            }
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            continue;
-        }
-        shard.lru.emplace_front(key, verdict);
-        shard.index.emplace(key, shard.lru.begin());
-        ++admitted;
-        admitted_keys.insert(key);
-        while (shard.lru.size() > max_entries_per_shard_) {
-            // Only evictions of entries *this call* admitted cancel out of
-            // the admitted count; displacing a pre-existing LRU tail does
-            // not make the snapshot entry any less admitted.
-            const std::string& victim = shard.lru.back().first;
-            if (admitted_keys.erase(victim) > 0) {
-                --admitted;
-            }
-            shard.index.erase(victim);
-            shard.lru.pop_back();
-        }
-    }
-    return admitted;
-}
 
 /// BFS distances from u, cut off beyond `radius`; -1 = outside the ball.
 std::vector<int> bounded_distances(const LabeledGraph& g, NodeId u, int radius) {
@@ -160,15 +29,24 @@ std::vector<int> bounded_distances(const LabeledGraph& g, NodeId u, int radius) 
     return dist;
 }
 
+int view_radius(const LocalMachine& machine, const ExecutionOptions& exec) {
+    // A clean run finishes within R rounds; information (including the step
+    // charges that decide per-node bound violations) travels one hop per
+    // round from round 2 on.
+    const int radius = exec.enforce_declared_bounds
+                           ? std::min(machine.round_bound(), exec.max_rounds)
+                           : exec.max_rounds;
+    return std::max(radius, 1);
+}
+
 ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& g,
                                const IdentifierAssignment& id,
                                const ExecutionOptions& exec) {
     // Run-global couplings break the per-node view determinism the cache
     // relies on: injected faults address nodes by index and round, the
-    // total-byte cap and the wall-clock deadline tie one node's fate to the
-    // whole run's traffic and timing.
-    if (exec.faults != nullptr || exec.max_total_message_bytes > 0 ||
-        exec.deadline_ms > 0) {
+    // total-byte cap ties one node's fate to the whole run's traffic.  (A
+    // deadline only ever aborts a run, and aborted runs are never recorded.)
+    if (exec.faults != nullptr || exec.max_total_message_bytes > 0) {
         return;
     }
     // Non-unique identifiers fatal every run before round 1; nothing clean
@@ -176,13 +54,7 @@ ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& 
     if (!id.is_locally_unique(g, std::max(1, machine.id_radius()))) {
         return;
     }
-    // A clean run finishes within R rounds; information (including the step
-    // charges that decide per-node bound violations) travels one hop per
-    // round from round 2 on.
-    radius_ = exec.enforce_declared_bounds
-                  ? std::min(machine.round_bound(), exec.max_rounds)
-                  : exec.max_rounds;
-    radius_ = std::max(radius_, 1);
+    radius_ = view_radius(machine, exec);
     cacheable_ = true;
 
     nodes_.resize(g.num_nodes());
@@ -226,8 +98,8 @@ ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& 
         // Collect edges in canonical-index terms and sort before emitting:
         // the prefix must not depend on original NodeIds or adjacency-list
         // order, or isomorphic balls (e.g. rotations of a cycle with
-        // periodic identifiers) would serialize differently and defeat both
-        // cross-instance cache sharing and the compiled core's orbit
+        // periodic identifiers, or one graph with its nodes renumbered)
+        // would serialize differently and defeat the verdict table's class
         // sharing.  Interior edges are kept once (smaller canonical index
         // first); interior-boundary edges order themselves the same way
         // because boundary nodes sort after all interior nodes.
@@ -254,17 +126,6 @@ ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& 
             out += ',';
         }
         out += '#';
-    }
-}
-
-void ViewKeyBuilder::key_for(NodeId u, const CertificateListAssignment& certs,
-                             std::string& out) const {
-    const NodeKey& key = nodes_[u];
-    out.clear();
-    out += key.static_prefix;
-    for (NodeId v : key.cert_members) {
-        out += certs.at(v);
-        out += ';';
     }
 }
 

@@ -2,8 +2,7 @@
 
 #include "core/check.hpp"
 #include "core/thread_pool.hpp"
-#include "dtm/view_cache.hpp"
-#include "hierarchy/compiled.hpp"
+#include "hierarchy/verdict_table.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 
@@ -13,9 +12,6 @@
 #include <chrono>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <sstream>
-#include <unordered_map>
 
 namespace lph {
 
@@ -37,8 +33,8 @@ constexpr std::uint64_t kNoTerminal = std::numeric_limits<std::uint64_t>::max();
 constexpr std::size_t kMaxRecordedFaults = 64;
 constexpr std::uint64_t kChunksPerWorker = 8;
 /// Cap on the packed low-block width (leaves per pattern rebuild).  A single
-/// node whose option list alone exceeds this also blows the per-class compile
-/// budget, so nothing real is lost by falling back wholesale.
+/// node whose option list alone exceeds this is far past any useful table
+/// class, so such a solve runs the plain interpreter.
 constexpr std::uint64_t kMaxBlockLeaves = std::uint64_t{1} << 16;
 
 std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
@@ -56,74 +52,8 @@ double elapsed_ms(Clock::time_point start) {
 
 } // namespace
 
-/// Lazily-built compiled core, cached on the tables so a whole batch flavor
-/// pays one compilation.  Lives behind a shared_ptr so GameTables stays
-/// movable (std::mutex is not).
-struct GameTables::CompiledSlot {
-    std::mutex mutex;
-    bool attempted = false;
-    std::string signature;
-    std::unique_ptr<CompiledGameCore> core;
-};
-
-namespace {
-
-/// The execution-option fields a compiled table's entries depend on (plus
-/// the machine identity and the compilability gates).  on_violation is
-/// deliberately absent: tables only ever hold clean runs, where the
-/// violation policy never fires.
-std::string compile_signature(const GameSpec& spec, const ExecutionOptions& exec,
-                              double max_cost_ratio) {
-    std::ostringstream sig;
-    sig << static_cast<const void*>(spec.machine) << '|' << exec.max_rounds
-        << '|' << exec.max_steps_per_round << '|'
-        << exec.enforce_declared_bounds << '|' << exec.max_space_per_node
-        << '|' << exec.validate_certificates << '|' << (exec.faults != nullptr)
-        << '|' << (exec.deadline_ms > 0) << '|'
-        << (exec.max_total_message_bytes > 0) << '|' << max_cost_ratio;
-    return sig.str();
-}
-
-} // namespace
-
-const CompiledGameCore* GameTables::compiled(const GameSpec& spec,
-                                             const LabeledGraph& g,
-                                             const IdentifierAssignment& id,
-                                             const ExecutionOptions& exec,
-                                             double* built_now_ms,
-                                             double max_cost_ratio) const {
-    if (built_now_ms != nullptr) {
-        *built_now_ms = 0;
-    }
-    const std::string signature = compile_signature(spec, exec, max_cost_ratio);
-    const std::lock_guard<std::mutex> lock(slot_->mutex);
-    if (slot_->attempted && slot_->signature == signature) {
-        return slot_->core.get();
-    }
-    CompiledLimits limits;
-    limits.max_cost_ratio = max_cost_ratio;
-    auto fresh = CompiledGameCore::compile(spec, *this, g, id, exec, limits);
-    if (fresh != nullptr) {
-        if (built_now_ms != nullptr) {
-            *built_now_ms = fresh->compile_ms();
-        }
-        slot_->core = std::move(fresh);
-        slot_->signature = signature;
-        slot_->attempted = true;
-        return slot_->core.get();
-    }
-    // Keep an existing core built under a different signature: a deadline'd
-    // request in the middle of a batch must not evict the batch's tables.
-    if (!slot_->attempted) {
-        slot_->signature = signature;
-        slot_->attempted = true;
-    }
-    return nullptr;
-}
-
 GameTables::GameTables(const GameSpec& spec, const LabeledGraph& g,
-                       const IdentifierAssignment& id)
-    : slot_(std::make_shared<CompiledSlot>()) {
+                       const IdentifierAssignment& id) {
     for (const CertificateDomain* domain : spec.layers) {
         std::vector<std::vector<BitString>> table(g.num_nodes());
         for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -178,13 +108,13 @@ struct ChunkOutcome {
     double busy_ms = 0;
 };
 
-/// Per-worker state of the packed (compiled-backend) deepest-layer scan:
-/// for every node, the configuration contribution of all digits outside the
-/// low block ("base") and the node's known/accept pattern words over the low
-/// block.  Patterns are rebuilt lazily: a digit change dirties exactly the
-/// nodes whose cert ball contains the changed position (the compiled core's
-/// affected lists), so most patterns survive across blocks and across inner
-/// scans.
+/// Per-worker state of the packed deepest-layer scan: for every node, the
+/// configuration contribution of all digits outside the low block ("base")
+/// and the node's known/accept pattern words over the low block, read from
+/// its table class.  Patterns are rebuilt lazily: a digit change dirties
+/// exactly the nodes whose cert ball contains the changed position (the
+/// binding's affected lists), and a fill dirties the nodes it taught, so
+/// most patterns survive across blocks and across inner scans.
 struct PackedState {
     bool ready = false;
     std::vector<std::uint64_t> base;    ///< per node
@@ -194,39 +124,26 @@ struct PackedState {
     std::vector<std::size_t> low_digits; ///< odometer scratch
 };
 
-/// One node's frozen induced radius-R ball, reused across leaves of a
-/// solve: running the machine on it reproduces the node's full-graph
-/// verdict whenever the run is clean and completed (the ball preserves the
-/// center's radius-R view — the same fact the compiled core's tables and
-/// the view-cache keys rest on).
-struct BallSim {
-    InducedSubgraph sub;
-    IdentifierAssignment id;
-    NodeId center;
-};
-
 /// Everything one worker mutates while walking its share of the game tree.
 struct WorkerContext {
     std::vector<CertificateAssignment> chosen;
     std::vector<std::vector<std::size_t>> idx;
     Tally tally;
-    std::string key_scratch;
-    std::vector<NodeId> miss_scratch;
+    std::vector<std::uint64_t> configs; ///< per-node configuration scratch
     PackedState packed;
+    bool refilled = false; ///< a fill taught some node's pattern a new bit
     // Perf counters (accumulated across this worker's chunks).
     std::uint64_t leaves_processed = 0;
     std::uint64_t local_runs = 0;
     std::uint64_t leaf_cache_hits = 0;
     std::uint64_t packed_words = 0;
-    std::uint64_t partial_leaf_evals = 0;
-    std::uint64_t ball_runs = 0;
-    std::uint64_t partial_fallbacks = 0;
 
     void ensure(std::size_t layers, std::size_t n) {
-        if (chosen.size() != layers) {
+        if (chosen.size() != layers || configs.size() != n) {
             chosen.assign(layers,
                           CertificateAssignment(std::vector<BitString>(n)));
             idx.assign(layers, std::vector<std::size_t>(n, 0));
+            configs.assign(n, 0);
         }
     }
 };
@@ -244,53 +161,14 @@ public:
             check(tables.layer_product(i) <= options.max_assignments_per_layer,
                   "play_game: layer assignment space exceeds the guard");
         }
-        if (options.backend == GameBackend::Compiled && tables.layers() > 0) {
-            // Table entries are clean completed ball runs — timing-independent
-            // facts — so compile without the wall-clock deadline: it still
-            // guards every fallback leaf through options.exec, and stripping
-            // it here both keeps the tables deterministic and lets deadline'd
-            // service requests share the batch's compiled core.
-            ExecutionOptions compile_exec = options.exec;
-            compile_exec.deadline_ms = 0;
-            compiled_ = tables.compiled(spec, g, id, compile_exec,
-                                        &compile_ms_paid_,
-                                        options.compile_cost_ratio);
-        }
-        if (compiled_ != nullptr) {
-            setup_packing();
-        }
-        // The compiled tables replace the view cache (both serve the same
-        // per-view verdicts); fallback leaves run the plain interpreter.
-        if (compiled_ == nullptr && options.memoize_views) {
-            keys_ = std::make_unique<ViewKeyBuilder>(*spec.machine, g, id,
-                                                     options.exec);
-            if (!keys_->cacheable()) {
-                keys_.reset();
-            } else if (options.view_cache != nullptr) {
-                cache_ = options.view_cache;
-            } else {
-                owned_cache_ =
-                    std::make_unique<ViewCache>(options.view_cache_entries);
-                cache_ = owned_cache_.get();
-            }
-        }
-        if (cache_ != nullptr && options.partial_leaves) {
-            partial_ = true;
-            if (options.recompute_nodes != nullptr) {
-                for (const NodeId u : *options.recompute_nodes) {
-                    if (u < g.num_nodes()) {
-                        ball_sim_for(u);
-                    }
-                }
-            }
-        }
     }
 
     GameResult run() {
         LPH_SPAN_NAMED(span, "game", "game.solve");
         const Clock::time_point start = Clock::now();
-        const ViewCacheStats cache_before =
-            cache_ != nullptr ? cache_->stats() : ViewCacheStats{};
+        if (options_.memoize_views) {
+            bind_table();
+        }
 
         GameResult result;
         if (spec_.layers.empty()) {
@@ -300,16 +178,10 @@ public:
         }
 
         result.stats.wall_ms = elapsed_ms(start);
-        result.stats.compile_ms = compile_ms_paid_;
-        if (compiled_ != nullptr) {
-            result.stats.orbit_hits = compiled_->orbit_hits();
-            result.stats.compiled_classes = compiled_->classes().size();
-        }
-        if (cache_ != nullptr) {
-            const ViewCacheStats after = cache_->stats();
-            result.stats.node_cache_hits = after.hits - cache_before.hits;
-            result.stats.node_cache_misses = after.misses - cache_before.misses;
-            result.stats.cache_evictions = after.evictions - cache_before.evictions;
+        if (binding_ != nullptr) {
+            result.stats.orbit_hits = binding_->orbit_hits();
+            binding_->table().record(result.stats.leaf_cache_hits,
+                                     result.stats.local_runs);
         }
         span.arg("leaves", result.stats.leaves_processed);
         record_session_metrics(result);
@@ -356,22 +228,39 @@ private:
         return false;
     }
 
-    // --- Packed evaluation over the compiled decision tables. -------------
+    // --- Packed evaluation over the verdict table. ------------------------
     //
     // The deepest layer D is scanned 64 leaves per word: its fastest-running
     // digits — the nodes [0, low_count_) — form a "low block" of block_
     // consecutive assignments, and every node keeps a bitset pattern (one
-    // known bit + one accept bit per block offset) derived from its class
-    // table.  ANDing the per-node pattern words answers 64 leaves at once;
-    // Unknown bits fall back to the interpreted per-leaf run, which keeps the
-    // deterministic counters and fault records bit-identical to the scalar
-    // engine.  Patterns depend only on the digits *outside* the low block
-    // (folded into a per-node base index), so they survive across blocks and
-    // are rebuilt only for nodes whose cert ball saw a digit change.
+    // known bit + one accept bit per block offset) read from its table
+    // class.  ANDing the per-node pattern words answers 64 leaves at once;
+    // unknown bits run the interpreter on the whole leaf, which fills the
+    // table and keeps the deterministic counters and fault records
+    // bit-identical to the unmemoized engine.  Patterns depend only on the
+    // digits *outside* the low block (folded into a per-node base index), so
+    // they survive across blocks and are rebuilt only for nodes whose cert
+    // ball saw a digit change or whose class a fill just taught.
+
+    /// Binds the solve context to the shared (or a private) verdict table
+    /// and, for layered games, chooses the packed low block.  Leaves the
+    /// binding empty — the plain interpreter — when the context cannot be
+    /// tabled or a single node's options exceed the block cap.
+    void bind_table() {
+        VerdictTable* table = options_.view_cache;
+        if (table == nullptr) {
+            owned_table_ = std::make_unique<VerdictTable>();
+            table = owned_table_.get();
+        }
+        binding_ = ViewBinding::bind(*table, *spec_.machine, tables_, g_, id_,
+                                     options_.exec);
+        if (binding_ != nullptr && tables_.layers() > 0) {
+            setup_packing();
+        }
+    }
 
     /// Chooses the low block for the deepest layer and precomputes each
-    /// node's per-low-digit strides.  Disables the compiled core when a
-    /// single node's options exceed the block cap.
+    /// node's per-low-digit strides.
     void setup_packing() {
         deepest_ = tables_.layers() - 1;
         const auto& table = tables_.layer(deepest_);
@@ -383,22 +272,18 @@ private:
             ++low_count_;
         }
         if (block_ > kMaxBlockLeaves) {
-            compiled_ = nullptr;
-            compile_ms_paid_ = 0;
+            binding_.reset();
             return;
         }
         words_ = static_cast<std::size_t>((block_ + 63) / 64);
-        const std::size_t layers = tables_.layers();
         low_strides_.assign(n * low_count_, 0);
         has_low_.assign(n, 0);
         for (NodeId u = 0; u < n; ++u) {
-            const auto& node = compiled_->nodes()[u];
-            const auto& cls = compiled_->classes()[node.cls];
-            for (std::size_t j = 0; j < node.members.size(); ++j) {
-                const NodeId m = node.members[j];
-                if (m < low_count_) {
-                    low_strides_[u * low_count_ + m] =
-                        cls.strides[j * layers + deepest_];
+            const std::vector<NodeId>& members = binding_->members(u);
+            for (std::size_t j = 0; j < members.size(); ++j) {
+                if (members[j] < low_count_) {
+                    low_strides_[u * low_count_ + members[j]] =
+                        binding_->stride(u, j, deepest_);
                     has_low_[u] = 1;
                 }
             }
@@ -409,10 +294,10 @@ private:
     /// needing a base + pattern rebuild.  No-op until the worker's packed
     /// state exists (initialization computes everything anyway).
     void mark_affected(NodeId v, WorkerContext& ctx) const {
-        if (compiled_ == nullptr || !ctx.packed.ready) {
+        if (binding_ == nullptr || !ctx.packed.ready) {
             return;
         }
-        for (const NodeId u : compiled_->affected()[v]) {
+        for (const NodeId u : binding_->affected()[v]) {
             ctx.packed.dirty[u] = 1;
         }
     }
@@ -434,36 +319,33 @@ private:
     /// u's configuration index with all low-block digits at zero: the sum of
     /// every other (member, layer) digit times its stride.
     std::uint64_t base_for(NodeId u, const WorkerContext& ctx) const {
-        const auto& node = compiled_->nodes()[u];
-        const auto& cls = compiled_->classes()[node.cls];
-        const std::size_t layers = tables_.layers();
+        const std::vector<NodeId>& members = binding_->members(u);
         std::uint64_t base = 0;
-        for (std::size_t j = 0; j < node.members.size(); ++j) {
-            const NodeId m = node.members[j];
-            for (std::size_t l = 0; l < layers; ++l) {
+        for (std::size_t j = 0; j < members.size(); ++j) {
+            const NodeId m = members[j];
+            for (std::size_t l = 0; l < tables_.layers(); ++l) {
                 if (l == deepest_ && m < low_count_) {
                     continue;
                 }
                 base += static_cast<std::uint64_t>(ctx.idx[l][m]) *
-                        cls.strides[j * layers + l];
+                        binding_->stride(u, j, l);
             }
         }
         return base;
     }
 
     /// Recomputes u's known/accept pattern words over the low block from its
-    /// class table, walking the block offsets with an incremental odometer
+    /// table class, walking the block offsets with an incremental odometer
     /// over the low digits (configuration updated by stride deltas).
     void rebuild_pattern(NodeId u, WorkerContext& ctx) const {
         PackedState& ps = ctx.packed;
         std::uint64_t* known = ps.known.data() + u * words_;
         std::uint64_t* accept = ps.accept.data() + u * words_;
-        const std::uint32_t cls = compiled_->nodes()[u].cls;
         if (!has_low_[u]) {
             // No cert member inside the low block: one entry answers the
             // whole block.
             bool acc = false;
-            const bool k = compiled_->entry(cls, ps.base[u], acc);
+            const bool k = binding_->lookup(u, ps.base[u], acc);
             std::fill(known, known + words_, k ? ~std::uint64_t{0} : 0);
             std::fill(accept, accept + words_, k && acc ? ~std::uint64_t{0} : 0);
             return;
@@ -476,7 +358,7 @@ private:
         std::uint64_t config = ps.base[u];
         for (std::uint64_t o = 0;; ++o) {
             bool acc = false;
-            if (compiled_->entry(cls, config, acc)) {
+            if (binding_->lookup(u, config, acc)) {
                 known[o >> 6] |= std::uint64_t{1} << (o & 63);
                 if (acc) {
                     accept[o >> 6] |= std::uint64_t{1} << (o & 63);
@@ -543,21 +425,46 @@ private:
         return evaluate_leaf(ctx);
     }
 
+    /// Rebuilds the base and pattern of every dirty node.
+    void refresh_patterns(WorkerContext& ctx) const {
+        PackedState& ps = ctx.packed;
+        for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+            if (ps.dirty[u]) {
+                ps.base[u] = base_for(u, ctx);
+                rebuild_pattern(u, ctx);
+                ps.dirty[u] = 0;
+            }
+        }
+        ctx.refilled = false;
+    }
+
+    /// ANDs every node's pattern word `w` into the block's known/accept words.
+    void and_word(std::uint64_t w, WorkerContext& ctx, std::uint64_t& kword,
+                  std::uint64_t& aword) const {
+        const PackedState& ps = ctx.packed;
+        kword = ~std::uint64_t{0};
+        aword = ~std::uint64_t{0};
+        for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+            kword &= ps.known[u * words_ + w];
+            aword &= ps.accept[u * words_ + w];
+        }
+        ctx.packed_words += g_.num_nodes();
+    }
+
     /// Scans deepest-layer assignments [begin, end) in order for the first
     /// one whose leaf value equals `want`, 64 leaves per pattern word.
     /// Returns its index, or kNoTerminal when the range is exhausted (or,
     /// for outer scans, when a smaller terminal was already published).
     /// Counters are bit-identical to the scalar scan: table-served leaves
-    /// count as leaf cache hits, Unknown leaves run the interpreter (and are
-    /// the only source of faults — table entries hold clean runs only).  On
-    /// a fallback throw, `*thrown_index` holds the leaf being evaluated.
+    /// count as leaf cache hits, unknown leaves run the interpreter (and are
+    /// the only source of faults — the table holds clean runs only).  A fill
+    /// re-reads the word, so the leaves after it see what it taught.  On a
+    /// throw, `*thrown_index` holds the leaf being evaluated.
     std::uint64_t packed_scan(std::uint64_t begin, std::uint64_t end, bool want,
                               bool outer, WorkerContext& ctx,
                               std::uint64_t* thrown_index) {
         ensure_packed(ctx);
         seed_packed_digits(begin, ctx);
-        PackedState& ps = ctx.packed;
-        const std::size_t n = g_.num_nodes();
         std::uint64_t block_first = begin - begin % block_;
         while (block_first < end) {
             const std::uint64_t bit_lo =
@@ -571,13 +478,7 @@ private:
                              min_terminal_.load(std::memory_order_relaxed)) {
                 return kNoTerminal;
             }
-            for (NodeId u = 0; u < n; ++u) {
-                if (ps.dirty[u]) {
-                    ps.base[u] = base_for(u, ctx);
-                    rebuild_pattern(u, ctx);
-                    ps.dirty[u] = 0;
-                }
-            }
+            refresh_patterns(ctx);
             for (std::uint64_t w = bit_lo >> 6; (w << 6) < bit_hi; ++w) {
                 const std::uint64_t word_base = w << 6;
                 const unsigned lo_bit = static_cast<unsigned>(
@@ -589,13 +490,9 @@ private:
                                          : (std::uint64_t{1} << hi_bit) - 1;
                 mask &= ~((std::uint64_t{1} << lo_bit) - 1);
 
-                std::uint64_t kword = ~std::uint64_t{0};
-                std::uint64_t aword = ~std::uint64_t{0};
-                for (NodeId u = 0; u < n; ++u) {
-                    kword &= ps.known[u * words_ + w];
-                    aword &= ps.accept[u * words_ + w];
-                }
-                ctx.packed_words += n;
+                std::uint64_t kword = 0;
+                std::uint64_t aword = 0;
+                and_word(w, ctx, kword, aword);
 
                 if ((kword & mask) == mask) {
                     // Every leaf in range is table-decided: one AND answers
@@ -616,8 +513,8 @@ private:
                     ctx.leaf_cache_hits += probed;
                     continue;
                 }
-                // Mixed word: walk bits in order, falling back to the
-                // interpreter on Unknown entries.
+                // Mixed word: walk bits in order, running the interpreter on
+                // unknown entries.
                 for (unsigned b = lo_bit; b < hi_bit; ++b) {
                     const std::uint64_t a = block_first + word_base + b;
                     if ((kword >> b) & 1) {
@@ -635,6 +532,10 @@ private:
                     if (materialize_packed_leaf(a - block_first, ctx) == want) {
                         return a;
                     }
+                    if (ctx.refilled) {
+                        refresh_patterns(ctx);
+                        and_word(w, ctx, kword, aword);
+                    }
                 }
             }
             block_first += block_;
@@ -647,49 +548,51 @@ private:
 
     // --- Leaf evaluation with locality-aware memoization. -----------------
 
+    /// The leaf's value when every node's (class, configuration) entry is
+    /// known, computing each node's configuration into ctx.configs either
+    /// way (a following fill reuses them).
+    std::optional<bool> table_leaf(WorkerContext& ctx) const {
+        bool complete = true;
+        bool all_accept = true;
+        for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+            ctx.configs[u] = binding_->config(u, ctx.idx);
+            bool accept = false;
+            if (complete && binding_->lookup(u, ctx.configs[u], accept)) {
+                all_accept = all_accept && accept;
+            } else {
+                complete = false;
+            }
+        }
+        return complete ? std::optional<bool>(all_accept) : std::nullopt;
+    }
+
+    /// Teaches the table every node verdict of a clean completed run; nodes
+    /// that learned a new entry get their packed pattern rebuilt.
+    void fill_leaf(const std::vector<std::string>& outputs,
+                   WorkerContext& ctx) const {
+        for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+            if (binding_->fill(u, ctx.configs[u], outputs[u] == "1") &&
+                ctx.packed.ready) {
+                ctx.packed.dirty[u] = 1;
+                ctx.refilled = true;
+            }
+        }
+    }
+
     /// Evaluates one leaf of the game tree.  Under tolerate_faults a probe
     /// that cannot finish cleanly is a recorded loss, not a process abort.
-    /// With the view cache on, a leaf all of whose node views were verdicted
-    /// by an earlier clean run short-circuits without touching the machine;
-    /// faulting leaves never enter the cache, so the deterministic counters
-    /// (machine_runs, faulted_runs, probe_faults) are cache-independent.
+    /// With a table bound, a leaf all of whose node entries are known
+    /// short-circuits without touching the machine, and a clean completed
+    /// run fills the table; faulting leaves never fill it, so the
+    /// deterministic counters (machine_runs, faulted_runs, probe_faults) are
+    /// table-independent.
     bool evaluate_leaf(WorkerContext& ctx) {
         ++ctx.tally.machine_runs;
         ++ctx.leaves_processed;
-        const auto list =
-            CertificateListAssignment::concatenate(ctx.chosen, g_.num_nodes());
-
-        if (cache_ != nullptr) {
-            bool all_hit = true;
-            bool all_accept = true;
-            ctx.miss_scratch.clear();
-            // With partial leaves on, keep scanning past the first miss: the
-            // complete miss set is what the ball runs need.
-            for (NodeId u = 0; u < g_.num_nodes() && (all_hit || partial_);
-                 ++u) {
-                keys_->key_for(u, list, ctx.key_scratch);
-                const auto verdict = cache_->lookup(ctx.key_scratch);
-                if (!verdict.has_value()) {
-                    all_hit = false;
-                    if (partial_) {
-                        ctx.miss_scratch.push_back(u);
-                    }
-                } else if (*verdict != "1") {
-                    all_accept = false;
-                }
-            }
-            if (all_hit) {
+        if (binding_ != nullptr) {
+            if (const std::optional<bool> known = table_leaf(ctx)) {
                 ++ctx.leaf_cache_hits;
-                return all_accept;
-            }
-            if (partial_) {
-                const std::optional<bool> value =
-                    evaluate_partial(list, all_accept, ctx);
-                if (value.has_value()) {
-                    ++ctx.partial_leaf_evals;
-                    return *value;
-                }
-                ++ctx.partial_fallbacks;
+                return *known;
             }
         }
 
@@ -699,8 +602,11 @@ private:
             exec_options.on_violation = FaultPolicy::Record;
         }
         try {
-            const ExecutionResult exec =
-                run_local(*spec_.machine, g_, id_, list, exec_options);
+            const ExecutionResult exec = run_local(
+                *spec_.machine, g_, id_,
+                CertificateListAssignment::concatenate(ctx.chosen,
+                                                       g_.num_nodes()),
+                exec_options);
             ++ctx.local_runs;
             if (!exec.ok() || !exec.faults.empty()) {
                 ++ctx.tally.faulted_runs;
@@ -709,13 +615,10 @@ private:
                 }
                 return false;
             }
-            // Only *clean, completed* runs are cacheable: an incomplete run's
-            // outputs reflect more rounds than the key's radius covers.
-            if (cache_ != nullptr && exec.completed) {
-                for (NodeId u = 0; u < g_.num_nodes(); ++u) {
-                    keys_->key_for(u, list, ctx.key_scratch);
-                    cache_->insert(ctx.key_scratch, exec.outputs[u]);
-                }
+            // Only *clean, completed* runs fill: an incomplete run's outputs
+            // reflect more rounds than the view radius covers.
+            if (binding_ != nullptr && exec.completed) {
+                fill_leaf(exec.outputs, ctx);
             }
             return exec.accepted;
         } catch (const run_error& e) {
@@ -729,82 +632,6 @@ private:
         }
     }
 
-    /// The frozen induced radius-R ball of u, built on first use and shared
-    /// by every worker for the rest of the solve (the graph and identifiers
-    /// are solve-constant; only certificates vary per leaf).
-    std::shared_ptr<const BallSim> ball_sim_for(NodeId u) {
-        {
-            const std::lock_guard<std::mutex> lock(ball_mutex_);
-            const auto it = ball_sims_.find(u);
-            if (it != ball_sims_.end()) {
-                return it->second;
-            }
-        }
-        InducedSubgraph sub = g_.neighborhood(u, keys_->radius());
-        const NodeId center = sub.from_original.at(u);
-        std::vector<BitString> ids(sub.graph.num_nodes());
-        for (NodeId s = 0; s < sub.graph.num_nodes(); ++s) {
-            ids[s] = id_(sub.to_original[s]);
-        }
-        auto sim = std::make_shared<const BallSim>(BallSim{
-            std::move(sub), IdentifierAssignment(std::move(ids)), center});
-        const std::lock_guard<std::mutex> lock(ball_mutex_);
-        return ball_sims_.emplace(u, std::move(sim)).first->second;
-    }
-
-    /// Attempts to finish a leaf from per-node induced-ball runs of the
-    /// cache-missing nodes (ctx.miss_scratch).  Returns the leaf value when
-    /// every ball run was clean and completed — then the full-graph run
-    /// would have been clean too, with identical per-node outputs, by
-    /// r-locality — and nullopt when any run was unclean or the balls cover
-    /// the whole graph anyway, demanding the ordinary full evaluation.
-    /// Clean ball verdicts are inserted under the full-graph keys, so the
-    /// next leaf touching the same views hits outright.
-    std::optional<bool> evaluate_partial(const CertificateListAssignment& list,
-                                         bool all_accept, WorkerContext& ctx) {
-        std::size_t ball_total = 0;
-        std::vector<std::shared_ptr<const BallSim>> sims;
-        sims.reserve(ctx.miss_scratch.size());
-        for (const NodeId u : ctx.miss_scratch) {
-            sims.push_back(ball_sim_for(u));
-            ball_total += sims.back()->sub.graph.num_nodes();
-        }
-        if (ball_total >= g_.num_nodes()) {
-            return std::nullopt; // the full run is no more expensive
-        }
-        ExecutionOptions sim_exec = options_.exec;
-        sim_exec.on_violation = FaultPolicy::Record;
-        for (std::size_t i = 0; i < ctx.miss_scratch.size(); ++i) {
-            const NodeId u = ctx.miss_scratch[i];
-            const BallSim& sim = *sims[i];
-            const std::size_t sub_n = sim.sub.graph.num_nodes();
-            std::vector<std::string> lists(sub_n);
-            for (NodeId s = 0; s < sub_n; ++s) {
-                lists[s] = list.at(sim.sub.to_original[s]);
-            }
-            const auto sub_list = CertificateListAssignment::from_raw(
-                std::move(lists), spec_.layers.size());
-            try {
-                const ExecutionResult run = run_local(
-                    *spec_.machine, sim.sub.graph, sim.id, sub_list, sim_exec);
-                ++ctx.ball_runs;
-                if (!run.ok() || !run.faults.empty() || !run.completed) {
-                    return std::nullopt;
-                }
-                const std::string& verdict = run.outputs[sim.center];
-                keys_->key_for(u, list, ctx.key_scratch);
-                cache_->insert(ctx.key_scratch, verdict);
-                if (verdict != "1") {
-                    all_accept = false;
-                }
-            } catch (const run_error&) {
-                ++ctx.ball_runs;
-                return std::nullopt;
-            }
-        }
-        return all_accept;
-    }
-
     /// Exact game value of the subtree below one outer assignment
     /// (layers 1..L-1 enumerated with the incremental odometer).
     bool inner_value(std::size_t layer, WorkerContext& ctx) {
@@ -812,7 +639,7 @@ private:
             return evaluate_leaf(ctx);
         }
         const bool want = existential(layer);
-        if (compiled_ != nullptr && layer == deepest_) {
+        if (binding_ != nullptr && layer == deepest_) {
             const std::uint64_t found = packed_scan(
                 0, tables_.layer_product(layer), want, /*outer=*/false, ctx,
                 /*thrown_index=*/nullptr);
@@ -844,7 +671,7 @@ private:
         const Clock::time_point start = Clock::now();
         ctx.ensure(spec_.layers.size(), g_.num_nodes());
         ctx.tally = Tally{};
-        if (compiled_ != nullptr && spec_.layers.size() == 1) {
+        if (binding_ != nullptr && spec_.layers.size() == 1) {
             // Single-layer game: the outer layer IS the packed layer, so the
             // chunk is one packed range scan.
             std::uint64_t threw_at = out.begin;
@@ -1053,25 +880,14 @@ private:
                 {"leaves_processed", static_cast<double>(stats.leaves_processed)},
                 {"local_runs", static_cast<double>(stats.local_runs)},
                 {"leaf_cache_hits", static_cast<double>(stats.leaf_cache_hits)},
-                {"node_cache_hits", static_cast<double>(stats.node_cache_hits)},
-                {"node_cache_misses", static_cast<double>(stats.node_cache_misses)},
-                {"cache_evictions", static_cast<double>(stats.cache_evictions)},
                 {"chunks", static_cast<double>(stats.chunks)},
                 {"wall_ms", stats.wall_ms},
                 {"busy_ms", stats.busy_ms},
-                {"compile_ms", stats.compile_ms},
                 {"orbit_hits", static_cast<double>(stats.orbit_hits)},
                 {"packed_words_evaluated",
                  static_cast<double>(stats.packed_words_evaluated)},
-                {"partial_leaf_evals",
-                 static_cast<double>(stats.partial_leaf_evals)},
-                {"ball_runs", static_cast<double>(stats.ball_runs)},
-                {"partial_fallbacks",
-                 static_cast<double>(stats.partial_fallbacks)},
             });
         metrics.set("game.workers", static_cast<double>(stats.workers));
-        metrics.set("game.compiled_classes",
-                    static_cast<double>(stats.compiled_classes));
         if (pool_used_ != nullptr) {
             // Shared-pool lifetime totals (jobs/tasks/steals), so the gauges
             // reflect the pool's state as of the latest solve.
@@ -1086,9 +902,6 @@ private:
             result.stats.local_runs += ctx->local_runs;
             result.stats.leaf_cache_hits += ctx->leaf_cache_hits;
             result.stats.packed_words_evaluated += ctx->packed_words;
-            result.stats.partial_leaf_evals += ctx->partial_leaf_evals;
-            result.stats.ball_runs += ctx->ball_runs;
-            result.stats.partial_fallbacks += ctx->partial_fallbacks;
         }
     }
 
@@ -1098,25 +911,18 @@ private:
     const IdentifierAssignment& id_;
     const GameOptions& options_;
 
-    std::unique_ptr<ViewKeyBuilder> keys_;
-    std::unique_ptr<ViewCache> owned_cache_;
-    ViewCache* cache_ = nullptr;
     ThreadPool* pool_used_ = nullptr;
 
-    // Partial-leaf state (GameOptions::partial_leaves).
-    bool partial_ = false;
-    std::mutex ball_mutex_;
-    std::unordered_map<NodeId, std::shared_ptr<const BallSim>> ball_sims_;
-
-    // Compiled-backend state (null / empty on the interpreted path).
-    const CompiledGameCore* compiled_ = nullptr;
-    double compile_ms_paid_ = 0;
+    // Verdict-table state (empty when the plain interpreter runs).  The
+    // owned table outlives the binding that holds its classes.
+    std::unique_ptr<VerdictTable> owned_table_;
+    std::unique_ptr<ViewBinding> binding_;
     std::size_t deepest_ = 0;   ///< the packed layer (layers - 1)
     std::size_t low_count_ = 0; ///< nodes forming the low block
     std::uint64_t block_ = 1;   ///< leaves per block (>= 64 unless tiny)
     std::size_t words_ = 0;     ///< 64-bit words per pattern
     /// low_strides_[u * low_count_ + v]: stride of digit (v, deepest) in u's
-    /// class table, or 0 when v is not one of u's cert members.
+    /// configuration, or 0 when v is not one of u's cert members.
     std::vector<std::uint64_t> low_strides_;
     std::vector<std::uint8_t> has_low_;
 
@@ -1134,20 +940,12 @@ obs::MetricList GameStats::to_metrics() const {
         {"cache_hit_rate", cache_hit_rate()},
         {"leaf_cache_hits", static_cast<double>(leaf_cache_hits)},
         {"local_runs", static_cast<double>(local_runs)},
-        {"node_cache_hits", static_cast<double>(node_cache_hits)},
-        {"node_cache_misses", static_cast<double>(node_cache_misses)},
-        {"cache_evictions", static_cast<double>(cache_evictions)},
         {"workers", static_cast<double>(workers)},
         {"worker_utilization", worker_utilization()},
         {"busy_ms", busy_ms},
         {"chunks", static_cast<double>(chunks)},
-        {"compile_ms", compile_ms},
         {"orbit_hits", static_cast<double>(orbit_hits)},
-        {"compiled_classes", static_cast<double>(compiled_classes)},
         {"packed_words_evaluated", static_cast<double>(packed_words_evaluated)},
-        {"partial_leaf_evals", static_cast<double>(partial_leaf_evals)},
-        {"ball_runs", static_cast<double>(ball_runs)},
-        {"partial_fallbacks", static_cast<double>(partial_fallbacks)},
     };
 }
 

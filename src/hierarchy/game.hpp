@@ -3,14 +3,11 @@
 #include "dtm/local.hpp"
 #include "obs/metrics.hpp"
 
-#include <memory>
 #include <optional>
 
 namespace lph {
 
-class ViewCache;
-class CompiledGameCore;
-struct CompiledLimits;
+class VerdictTable;
 
 namespace obs {
 class Session;
@@ -88,38 +85,8 @@ public:
     /// Number of leaf evaluations an exhaustive game would need (saturating).
     std::uint64_t tree_size() const;
 
-    /// The compiled decision-table core for this context, built on first use
-    /// and cached on the tables (the per-batch-flavor home: BatchContext
-    /// shares one GameTables across a micro-batch, so the whole batch pays
-    /// one compilation).  Returns nullptr when the context is not compilable
-    /// (see CompiledGameCore::compile).  A later call with execution options
-    /// whose verdict-relevant fields differ recompiles; when `built_now_ms`
-    /// is non-null it receives the compile time this call paid (0 on reuse).
-    /// `max_cost_ratio` is the profitability gate
-    /// (CompiledLimits::max_cost_ratio; 0 = always compile).  Thread-safe.
-    const CompiledGameCore* compiled(const GameSpec& spec, const LabeledGraph& g,
-                                     const IdentifierAssignment& id,
-                                     const ExecutionOptions& exec,
-                                     double* built_now_ms = nullptr,
-                                     double max_cost_ratio = 0) const;
-
 private:
-    struct CompiledSlot; // defined in game.cpp (holds the slot mutex)
-
     std::vector<std::vector<std::vector<BitString>>> tables_;
-    std::shared_ptr<CompiledSlot> slot_;
-};
-
-/// Which leaf-evaluation core play_game uses.
-enum class GameBackend {
-    /// Per-leaf whole-graph machine interpretation (with the view cache).
-    Interpreted,
-    /// Compiled per-view decision tables with 64-wide packed evaluation and
-    /// orbit sharing; falls back to Interpreted automatically when the
-    /// context is not compilable (fault plans, deadlines, byte caps,
-    /// non-locally-unique ids, leaf-only games).  Both backends produce
-    /// bit-identical GameResults apart from stats.
-    Compiled,
 };
 
 struct GameOptions {
@@ -141,51 +108,16 @@ struct GameOptions {
     /// counters, fault records, witness); only GameResult::stats differs.
     unsigned threads = 0;
 
-    /// Memoize per-node run_local verdicts keyed by canonical r-ball views
-    /// (sound for the paper's deterministic machines; see DESIGN.md).  The
-    /// cache never changes verdicts or the deterministic counters, only the
-    /// perf stats.  Automatically disabled when the execution options carry
-    /// run-global couplings (fault plans, deadlines, byte caps).
+    /// Memoize per-node verdicts in a per-view verdict table (sound for the
+    /// paper's deterministic machines; DESIGN.md "Per-view verdict table").
+    /// The table never changes verdicts or the deterministic counters, only
+    /// the perf stats.  Contexts with a fault plan, a byte cap or identifiers
+    /// that are not locally unique run the plain interpreter.
     bool memoize_views = true;
 
-    /// Optional shared cache (e.g. across instances of the same machine);
-    /// nullptr gives the game a private cache of view_cache_entries.
-    ViewCache* view_cache = nullptr;
-    std::size_t view_cache_entries = 1 << 20;
-
-    /// Leaf-evaluation core.  Compiled replaces the per-leaf interpreter
-    /// (and the view cache) with flat decision tables evaluated 64 leaves
-    /// per word; results stay bit-identical either way.  Interpreted is the
-    /// default so existing engine-level callers keep their exact perf-stat
-    /// profile; the serving layer and the benches opt into Compiled.
-    GameBackend backend = GameBackend::Interpreted;
-
-    /// Compilation profitability gate (CompiledLimits::max_cost_ratio):
-    /// with a positive ratio, the Compiled backend declines to build tables
-    /// whose up-front ball runs exceed ratio x the exhaustive leaf space and
-    /// falls back to Interpreted.  0 always compiles — the oracle and the
-    /// benches want the compiled path exercised regardless of payoff; the
-    /// serving layer gates at 1.0 so tiny one-shot requests keep the
-    /// interpreter's short-circuit exits.
-    double compile_cost_ratio = 0;
-
-    /// Partial leaf recomputation for dynamic-graph serving (DESIGN.md
-    /// "Incremental serving").  When the context is cacheable, a leaf whose
-    /// view-cache probe misses on some nodes re-derives just those nodes'
-    /// verdicts by running the machine on their induced radius-R balls —
-    /// sound by r-locality (the ball preserves the center's radius-R view,
-    /// so a clean completed ball run reproduces the full-graph verdict) —
-    /// and merges them with the cached verdicts of the untouched region.
-    /// Any unclean or incomplete ball run falls back to the ordinary
-    /// full-graph leaf run, keeping the deterministic counters and fault
-    /// ordering bit-identical to a full solve.  Interpreted backend only
-    /// (the Compiled backend already evaluates per-ball).
-    bool partial_leaves = false;
-
-    /// Optional node subset expected to miss the view cache (the dirty
-    /// region of a graph_patch); their ball simulations are prebuilt up
-    /// front instead of lazily on the first missing leaf.
-    const std::vector<NodeId>* recompute_nodes = nullptr;
+    /// Optional shared table (runs of the same machine only, e.g. across the
+    /// requests of a server); nullptr gives the game a private table.
+    VerdictTable* view_cache = nullptr;
 
     /// Optional observability session: when set, the solve accumulates its
     /// GameStats into the session's MetricsRegistry under the `game.` naming
@@ -200,37 +132,26 @@ struct GameOptions {
 /// deterministic across thread counts or cache settings.
 struct GameStats {
     std::uint64_t leaves_processed = 0; ///< leaf probes actually performed
-    std::uint64_t local_runs = 0;       ///< run_local invocations (cache misses)
-    std::uint64_t leaf_cache_hits = 0;  ///< leaves served fully from the cache
-    std::uint64_t node_cache_hits = 0;
-    std::uint64_t node_cache_misses = 0;
-    std::uint64_t cache_evictions = 0;
+    std::uint64_t local_runs = 0;       ///< run_local invocations (table misses)
+    std::uint64_t leaf_cache_hits = 0;  ///< leaves answered from the table
     double wall_ms = 0;     ///< wall-clock of the whole solve
     double busy_ms = 0;     ///< summed per-worker processing time
     unsigned workers = 1;   ///< participants in the fan-out
     std::uint64_t chunks = 1;
-
-    // Compiled-backend counters (all zero on the interpreted path).
-    double compile_ms = 0;  ///< table compilation paid by THIS solve (0 on reuse)
-    std::uint64_t orbit_hits = 0; ///< nodes served by another node's class table
-    std::uint64_t compiled_classes = 0;
-    /// 64-leaf pattern words ANDed during packed evaluation (per node, per
-    /// word — the packed path's unit of work).
+    /// Nodes whose table class another node of the same solve also uses.
+    std::uint64_t orbit_hits = 0;
+    /// 64-leaf pattern words ANDed by the packed deepest-layer scan (per
+    /// node, per word — the packed path's unit of work).
     std::uint64_t packed_words_evaluated = 0;
-
-    // Partial-leaf counters (all zero unless GameOptions::partial_leaves).
-    std::uint64_t partial_leaf_evals = 0; ///< leaves completed from ball runs
-    std::uint64_t ball_runs = 0;          ///< induced-ball run_local calls
-    std::uint64_t partial_fallbacks = 0;  ///< eligible leaves that ran fully
 
     double leaves_per_sec() const {
         return wall_ms > 0 ? 1000.0 * static_cast<double>(leaves_processed) / wall_ms
                            : 0.0;
     }
     double cache_hit_rate() const {
-        const double total =
-            static_cast<double>(node_cache_hits + node_cache_misses);
-        return total > 0 ? static_cast<double>(node_cache_hits) / total : 0.0;
+        return leaves_processed > 0 ? static_cast<double>(leaf_cache_hits) /
+                                          static_cast<double>(leaves_processed)
+                                    : 0.0;
     }
     double worker_utilization() const {
         return wall_ms > 0 && workers > 0

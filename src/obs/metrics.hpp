@@ -13,7 +13,7 @@ namespace lph {
 namespace obs {
 
 /// Flat name -> value list, the interchange format between the stats structs
-/// scattered across the engine (GameStats, ViewCacheStats, pool stats...) and
+/// scattered across the engine (GameStats, VerdictTable::Stats, pool stats...) and
 /// the registry.  Also exactly the shape of the `metrics` object on a BENCH
 /// report row, so a snapshot can be dropped onto an Instance verbatim.
 using MetricList = std::vector<std::pair<std::string, double>>;

@@ -12,8 +12,8 @@ namespace obs {
 ///
 /// Instrumented subsystems take an optional `Session*` (GameOptions::obs,
 /// HarnessOptions::obs); when set they accumulate their stats into the
-/// session's registry.  Code with no natural options channel (ViewCache,
-/// run_local, the thread pool) emits spans through the ambient global tracer
+/// session's registry.  Code with no natural options channel (run_local,
+/// the thread pool) emits spans through the ambient global tracer
 /// instead, which this session switches on and off.
 ///
 /// At most one session should have tracing enabled at a time; `activate()`

@@ -2,11 +2,10 @@
 
 #include "core/bitstring.hpp"
 #include "core/check.hpp"
-#include "dtm/view_cache.hpp"
+#include "hierarchy/verdict_table.hpp"
 #include "graphalg/coloring.hpp"
 #include "graphalg/eulerian.hpp"
 #include "graphalg/hamiltonian.hpp"
-#include "hierarchy/compiled.hpp"
 #include "hierarchy/game.hpp"
 #include "logic/eval.hpp"
 #include "machines/deciders.hpp"
@@ -246,15 +245,24 @@ std::optional<std::string> diff_outcome(const std::string& a_name,
 std::optional<std::string> compare_game_par_vs_ref(const ReproCase& r) {
     const BuiltGame built = build_game(r);
     const IdentifierAssignment id = ids_of(r, *built.machine);
-    GameOptions fast;
-    fast.threads = 4;
-    fast.memoize_views = true;
-    fast.tolerate_faults = built.tolerate;
-    const GameOutcome engine = run_engine(built.spec, r.graph, id, fast);
     const GameOutcome reference =
         run_reference(built.spec, r.graph, id, built.tolerate);
-    return diff_outcome("engine(threads=4,cache=on)", engine, "reference",
-                        reference);
+    // The memoized engine on the sequential path (one chunk, every fill
+    // re-read in order) and on the parallel one (published terminals,
+    // concurrent fills).
+    for (const unsigned threads : {1u, 4u}) {
+        GameOptions fast;
+        fast.threads = threads;
+        fast.memoize_views = true;
+        fast.tolerate_faults = built.tolerate;
+        const GameOutcome engine = run_engine(built.spec, r.graph, id, fast);
+        if (auto diff = diff_outcome(
+                "engine(threads=" + std::to_string(threads) + ",table=on)",
+                engine, "reference", reference)) {
+            return diff;
+        }
+    }
+    return std::nullopt;
 }
 
 std::optional<std::string> compare_game_cache_vs_nocache(const ReproCase& r) {
@@ -271,60 +279,22 @@ std::optional<std::string> compare_game_cache_vs_nocache(const ReproCase& r) {
     if (auto diff = diff_outcome("cache=on", on, "cache=off", off)) {
         return diff;
     }
-    // A cache reused across solves must not bleed verdicts between runs.
-    ViewCache shared(1 << 12);
+    // A table reused across solves must not bleed verdicts between runs.
+    VerdictTable shared;
     GameOptions shared_opts = cached;
     shared_opts.view_cache = &shared;
     const GameOutcome warm1 = run_engine(built.spec, r.graph, id, shared_opts);
     const GameOutcome warm2 = run_engine(built.spec, r.graph, id, shared_opts);
-    if (auto diff = diff_outcome("shared-cache pass 1", warm1, "cache=off", off)) {
+    if (auto diff = diff_outcome("shared-table pass 1", warm1, "cache=off", off)) {
         return diff;
     }
-    if (auto diff = diff_outcome("shared-cache pass 2", warm2, "cache=off", off)) {
+    if (auto diff = diff_outcome("shared-table pass 2", warm2, "cache=off", off)) {
         return diff;
     }
     const std::uint64_t mismatches = shared.stats().verdict_mismatches;
     if (mismatches != 0) {
-        return "shared view cache recorded " + std::to_string(mismatches) +
-               " verdict mismatch(es) for equal keys";
-    }
-    return std::nullopt;
-}
-
-std::optional<std::string>
-compare_game_compiled_vs_interpreted(const ReproCase& r) {
-    const BuiltGame built = build_game(r);
-    const IdentifierAssignment id = ids_of(r, *built.machine);
-    GameOptions interpreted;
-    interpreted.threads = 4;
-    interpreted.memoize_views = true;
-    interpreted.tolerate_faults = built.tolerate;
-    interpreted.backend = GameBackend::Interpreted;
-    GameOptions compiled = interpreted;
-    compiled.backend = GameBackend::Compiled;
-    const GameOutcome itp = run_engine(built.spec, r.graph, id, interpreted);
-    const GameOutcome cmp = run_engine(built.spec, r.graph, id, compiled);
-    if (auto diff = diff_outcome("compiled(threads=4)", cmp, "interpreted", itp)) {
-        return diff;
-    }
-    // The sequential packed path (one chunk, no published terminals) must
-    // agree too.
-    GameOptions compiled_seq = compiled;
-    compiled_seq.threads = 1;
-    const GameOutcome seq = run_engine(built.spec, r.graph, id, compiled_seq);
-    if (auto diff = diff_outcome("compiled(threads=1)", seq, "interpreted", itp)) {
-        return diff;
-    }
-    // When the context compiles, the orbit-multiplied game_tree_size must
-    // equal the interpreted per-node product bit for bit.
-    const GameTables tables(built.spec, r.graph, id);
-    if (const CompiledGameCore* core =
-            tables.compiled(built.spec, r.graph, id, ExecutionOptions{})) {
-        if (core->tree_size() != tables.tree_size()) {
-            return "compiled tree_size=" + std::to_string(core->tree_size()) +
-                   " but interpreted tree_size=" +
-                   std::to_string(tables.tree_size());
-        }
+        return "shared verdict table recorded " + std::to_string(mismatches) +
+               " verdict mismatch(es) for equal classes";
     }
     return std::nullopt;
 }
@@ -566,8 +536,6 @@ std::vector<RegisteredCheck>& registry_locked() {
          game_param_shrinks},
         {"game-cache-vs-nocache", generate_game_case,
          compare_game_cache_vs_nocache, game_param_shrinks},
-        {"game-compiled-vs-interpreted", generate_game_case,
-         compare_game_compiled_vs_interpreted, game_param_shrinks},
         {"logic-eval-vs-expansion", generate_logic_case, compare_logic, nullptr},
         {"eulerian-vs-bruteforce", generate_eulerian_case, compare_eulerian,
          nullptr},

@@ -41,14 +41,10 @@ struct CheckReport {
 };
 
 /// Names of all registered differential checks, in execution order:
-///   game-par-vs-ref            parallel+memoized game engine vs the
-///                              single-threaded uncached reference
-///   game-cache-vs-nocache      view cache on vs off, plus a reused shared
-///                              cache and its verdict-mismatch counter
-///   game-compiled-vs-interpreted
-///                              compiled decision-table backend (packed
-///                              evaluation + orbit sharing) vs interpreted,
-///                              including game_tree_size bit-equality
+///   game-par-vs-ref            the memoized game engine at 1 and 4
+///                              threads vs the recursive reference
+///   game-cache-vs-nocache      verdict table on vs off, plus a reused
+///                              shared table and its verdict-mismatch counter
 ///   logic-eval-vs-expansion    evaluate() vs quantifier-expansion reference
 ///   eulerian-vs-bruteforce     degree/component test + Hierholzer vs
 ///                              brute-force trail search

@@ -70,7 +70,6 @@ Features features_for(const Request& request, std::size_t resolved_nodes) {
         // Radius-1 views; each certificate layer alternates the game.
         f.radius = 1;
         f.alternation_depth = request.layers;
-        f.backend = request.backend;
         break;
     case RequestType::Logic: {
         const Features lf = logic_features(request.formula, request.fseed);
@@ -121,8 +120,10 @@ double predict_request_cost_us(const Request& request,
                static_cast<double>(request.instances);
     }
     const Features f = features_for(request, resolved_nodes);
-    return predict_cost_us(f.nodes, f.radius, f.quantifiers,
-                           f.alternation_depth, f.backend, model);
+    const double factor =
+        request.type == RequestType::Game ? model.game_factor : 1.0;
+    return factor * predict_cost_us(f.nodes, f.radius, f.quantifiers,
+                                    f.alternation_depth, model);
 }
 
 Decision decide(const Request& request, std::size_t resolved_nodes,

@@ -47,11 +47,12 @@ struct Features {
     int radius = 0;
     std::size_t quantifiers = 0;
     int alternation_depth = 0;
-    std::string backend = "interpreted";
 };
 
 Features features_for(const Request& request, std::size_t resolved_nodes);
 
+/// predict_cost_us over the request's features; game requests are scaled by
+/// the model's game_factor.
 double predict_request_cost_us(
     const Request& request, std::size_t resolved_nodes,
     const CostModel& model = calibrated_cost_model());

@@ -302,7 +302,7 @@ ReproCase generate_patch_case(Rng& rng) {
                                       "coloring3"};
     r.params["machine"] = kMachines[rng.index(4)];
     // Mostly deciders (the retained-verdict fast path); some one-layer games
-    // (the engine's partial-leaf path).
+    // (ordinary games over the shared verdict table).
     r.params["layers"] = rng.chance(0.3) ? "1" : "0";
     r.params["ids"] = rng.chance(0.5) ? "local" : "global";
     r.params["steps"] = std::to_string(rng.uniform(1, 5));
@@ -325,19 +325,18 @@ std::optional<std::string> compare_patch_vs_full(const ReproCase& r) {
 
     ServiceOptions options;
     options.manual_drain = true;
-    ServiceCore core(options);     // serves the incremental patch path
-    ServiceCore reference(options); // full recompute on inline graphs
+    ServiceCore core(options); // serves the incremental patch path
+    ServiceOptions reference_options = options;
+    reference_options.share_view_cache = false; // a private table per solve
+    ServiceCore reference(reference_options);    // full recompute, inline graphs
 
-    // The golden side re-solves from scratch on the interpreted backend (the
-    // backend the partial path uses); compiled-vs-interpreted parity is its
-    // own check.
+    // The golden side re-solves every intermediate graph from scratch.
     Request golden_query;
     golden_query.type = RequestType::Game;
     golden_query.machine = machine;
     golden_query.layers = layers;
     golden_query.sigma = true;
     golden_query.ids = ids;
-    golden_query.backend = "interpreted";
 
     LabeledGraph mirror = r.graph;
     Request reg;

@@ -3,6 +3,7 @@
 #include "core/check.hpp"
 #include "dtm/errors.hpp"
 #include "dtm/faults.hpp"
+#include "dtm/view_cache.hpp"
 #include "graphalg/coloring.hpp"
 #include "graphalg/eulerian.hpp"
 #include "graphalg/hamiltonian.hpp"
@@ -68,21 +69,8 @@ void append_game_result(std::ostream& body, const GameResult& result) {
     }
 }
 
-/// The effective view radius of a machine under the service's execution
-/// defaults — the R in "dirty = radius-R balls around the edit".  Must match
-/// ViewKeyBuilder's radius so the engine's partial path and the store's
-/// dirty sets agree.
-int view_radius(const LocalMachine& machine) {
-    const ExecutionOptions exec;
-    const int radius = exec.enforce_declared_bounds
-                           ? std::min(machine.round_bound(), exec.max_rounds)
-                           : exec.max_rounds;
-    return std::max(radius, 1);
-}
-
 /// The retention key of a layers-0 patch query: every field that can change
-/// the per-node outputs (backend is excluded — both backends are
-/// verdict-identical).
+/// the per-node outputs.
 std::string decider_flavor(const Request& request) {
     return request.machine + '|' + std::to_string(request.layers) + '|' +
            (request.sigma ? '1' : '0') + '|' + request.ids;
@@ -494,15 +482,14 @@ bool ServiceCore::serve_one(Pending& pending, BatchContext& ctx,
     }
 
     const auto end = std::chrono::steady_clock::now();
-    response.service_ms = ms_between(start, end);
+    const double exec_ms = ms_between(start, end);
     if (expired) {
         // The request never reached the engine: it is an error, but it must
         // not count as served work (busy time, batch sizes).
         expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
     } else {
-        busy_us_.fetch_add(
-            static_cast<std::uint64_t>(response.service_ms * 1000.0),
-            std::memory_order_relaxed);
+        busy_us_.fetch_add(static_cast<std::uint64_t>(exec_ms * 1000.0),
+                           std::memory_order_relaxed);
     }
     if (response.status == "ok") {
         completed_.fetch_add(1, std::memory_order_relaxed);
@@ -515,8 +502,7 @@ bool ServiceCore::serve_one(Pending& pending, BatchContext& ctx,
     // shared prep plus this request's intra-batch wait, exec is its own turn.
     finish_timing(response, request,
                   std::max(0.0, ms_between(pending.enqueued, batch_start)),
-                  std::max(0.0, ms_between(batch_start, start)),
-                  response.service_ms, end);
+                  std::max(0.0, ms_between(batch_start, start)), exec_ms, end);
     pending.promise.set_value(std::move(response));
     return !expired;
 }
@@ -531,10 +517,6 @@ void ServiceCore::finish_timing(
     t.queue_us = ms_to_us(queue_ms);
     t.batch_us = ms_to_us(batch_ms);
     t.exec_us = ms_to_us(exec_ms);
-    if (request.type == RequestType::Game ||
-        (request.type == RequestType::GraphPatch && !request.machine.empty())) {
-        t.backend = request.backend;
-    }
     t.worker_pid = pid_;
     t.generation = options_.worker_generation;
     // write covers response materialization after execute (memo insert,
@@ -619,14 +601,6 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         GameOptions opt;
         opt.threads = 1; // the service parallelizes across requests
         opt.tolerate_faults = request.tolerate_faults;
-        opt.backend = request.backend == "interpreted"
-                          ? GameBackend::Interpreted
-                          : GameBackend::Compiled;
-        // Compile only when the tables can pay for themselves within one
-        // exhaustive solve: a serving mix of small one-shot graphs would
-        // otherwise trade the interpreter's short-circuit exits for
-        // compilation it never amortizes.
-        opt.compile_cost_ratio = 1.0;
         opt.obs = options_.obs;
         opt.exec.deadline_ms = deadline_ms;
         FaultPlan plan;
@@ -639,11 +613,11 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
             opt.exec.faults = &plan;
         }
         if (options_.share_view_cache) {
-            // Harmless for deadline'd/faulted requests: ViewKeyBuilder
-            // refuses run-global couplings, so those runs bypass the cache.
-            opt.view_cache = cache_for(request.machine);
+            // Harmless for faulted requests (the engine runs the plain
+            // interpreter for fault plans) and for deadline'd ones (only
+            // clean completed runs fill).
+            opt.view_cache = table_for(request.machine);
         }
-        opt.view_cache_entries = options_.view_cache_entries;
 
         const GameResult result =
             play_game(game.spec, tables, request.graph, id, opt);
@@ -752,7 +726,7 @@ std::string ServiceCore::execute_patch(const Request& request,
     if (has_query) {
         game = &ctx.game(request.machine, request.layers, request.sigma);
         r_id = game->spec.machine->id_radius();
-        radius = view_radius(*game->spec.machine);
+        radius = view_radius(*game->spec.machine, ExecutionOptions{});
     }
     const std::string flavor = has_query && request.layers == 0
                                    ? decider_flavor(request)
@@ -797,34 +771,27 @@ std::string ServiceCore::execute_patch(const Request& request,
         return body.str();
     }
 
-    // Layered query: the engine's partial-leaf path re-derives only the
-    // view-cache misses (the dirty balls) and merges with the cached
-    // verdicts of the untouched region; counters, fault ordering and the
-    // witness stay bit-identical to a full solve.
+    // Layered query: an ordinary game over the machine's shared table, where
+    // every view the patch left alone hits and only leaves touching a dirty
+    // ball run the machine.  It counts as incremental when some leaf was
+    // answered from the table.
     const IdentifierAssignment id =
         identifier_scheme_by_name(request.ids, outcome.graph, r_id);
     const GameTables tables(game->spec, outcome.graph, id);
     GameOptions opt;
     opt.threads = 1;
-    opt.backend = GameBackend::Interpreted; // partial leaves live here
     opt.obs = options_.obs;
     opt.exec.deadline_ms = deadline_ms;
-    opt.view_cache = cache_for(request.machine);
-    opt.view_cache_entries = options_.view_cache_entries;
-    opt.partial_leaves = true;
-    opt.recompute_nodes = &outcome.dirty;
+    if (options_.share_view_cache) {
+        opt.view_cache = table_for(request.machine);
+    }
     const GameResult result =
         play_game(game->spec, tables, outcome.graph, id, opt);
     if (!result.probe_faults.empty()) {
         throw run_error(result.probe_faults.front());
     }
-    if (result.stats.partial_fallbacks == 0 &&
-        (result.stats.partial_leaf_evals > 0 ||
-         result.stats.leaf_cache_hits > 0)) {
-        patch_incremental_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        patch_full_.fetch_add(1, std::memory_order_relaxed);
-    }
+    (result.stats.leaf_cache_hits > 0 ? patch_incremental_ : patch_full_)
+        .fetch_add(1, std::memory_order_relaxed);
     append_game_result(body, result);
     return body.str();
 }
@@ -835,7 +802,7 @@ std::string ServiceCore::evaluate_patch_decider(const Request& request,
                                                 double deadline_ms) {
     const LabeledGraph& g = outcome.graph;
     const LocalMachine& machine = *game.spec.machine;
-    const int radius = view_radius(machine);
+    const int radius = view_radius(machine, ExecutionOptions{});
     const IdentifierAssignment id =
         identifier_scheme_by_name(request.ids, g, machine.id_radius());
 
@@ -1004,8 +971,7 @@ Response ServiceCore::serve_unbatched(const Request& request) {
             response.detail = "no resident graph with digest " +
                               std::to_string(request.ref_digest);
             const auto end = std::chrono::steady_clock::now();
-            response.service_ms = ms_between(start, end);
-            finish_timing(response, request, 0.0, 0.0, response.service_ms,
+            finish_timing(response, request, 0.0, 0.0, ms_between(start, end),
                           end);
             return response;
         }
@@ -1027,9 +993,8 @@ Response ServiceCore::serve_unbatched(const Request& request) {
         response.detail = e.what();
     }
     const auto end = std::chrono::steady_clock::now();
-    response.service_ms = ms_between(start, end);
     // No queue or batch stage on the inline path; exec is the whole turn.
-    finish_timing(response, request, 0.0, 0.0, response.service_ms, end);
+    finish_timing(response, request, 0.0, 0.0, ms_between(start, end), end);
     return response;
 }
 
@@ -1083,11 +1048,11 @@ SnapshotData ServiceCore::snapshot_data() const {
     memo_section.name = "memo";
     memo_section.entries = memo_.export_entries();
     data.sections.push_back(std::move(memo_section));
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const auto& [machine, cache] : view_caches_) {
+    const std::lock_guard<std::mutex> lock(table_mutex_);
+    for (const auto& [machine, table] : tables_) {
         SnapshotSection section;
-        section.name = "view:" + machine;
-        section.entries = cache->export_entries();
+        section.name = "table:" + machine;
+        section.entries = table->export_entries();
         data.sections.push_back(std::move(section));
     }
     return data;
@@ -1098,12 +1063,14 @@ std::size_t ServiceCore::restore_from(const SnapshotData& data) {
     for (const SnapshotSection& section : data.sections) {
         if (section.name == "memo") {
             admitted += memo_.restore(section.entries);
-        } else if (section.name.rfind("view:", 0) == 0) {
+        } else if (section.name.rfind("table:", 0) == 0 &&
+                   is_machine_name(section.name.substr(6))) {
             admitted +=
-                cache_for(section.name.substr(5))->restore(section.entries);
+                table_for(section.name.substr(6))->restore(section.entries);
         }
-        // Unknown sections: a newer writer's data we cannot interpret; the
-        // checksummed entries we do understand are still good.
+        // Unknown sections (a newer writer's, or the view-key sections older
+        // writers kept): data we cannot interpret; the checksummed entries
+        // we do understand are still good.
     }
     return admitted;
 }
@@ -1174,16 +1141,11 @@ void ServiceCore::snapshot_loop() {
     }
 }
 
-ViewCacheStats ServiceCore::view_cache_stats() const {
-    ViewCacheStats total;
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const auto& [machine, cache] : view_caches_) {
-        const ViewCacheStats s = cache->stats();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-        total.entries += s.entries;
-        total.verdict_mismatches += s.verdict_mismatches;
+VerdictTable::Stats ServiceCore::table_stats() const {
+    VerdictTable::Stats total;
+    const std::lock_guard<std::mutex> lock(table_mutex_);
+    for (const auto& [machine, table] : tables_) {
+        total += table->stats();
     }
     return total;
 }
@@ -1198,7 +1160,7 @@ void ServiceCore::publish_metrics() {
 void ServiceCore::collect_metrics(obs::MetricsRegistry& registry) const {
     registry.absorb("service.", stats().to_metrics());
     registry.absorb("service.", memo_stats().to_metrics());
-    registry.absorb("service.", view_cache_stats().to_metrics());
+    registry.absorb("service.", table_stats().to_metrics());
     if (!options_.snapshot_path.empty()) {
         registry.absorb("service.", snapshot_stats().to_metrics());
     }
@@ -1215,11 +1177,11 @@ void ServiceCore::collect_metrics(obs::MetricsRegistry& registry) const {
     }
 }
 
-ViewCache* ServiceCore::cache_for(const std::string& machine) {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    std::unique_ptr<ViewCache>& slot = view_caches_[machine];
+VerdictTable* ServiceCore::table_for(const std::string& machine) {
+    const std::lock_guard<std::mutex> lock(table_mutex_);
+    std::unique_ptr<VerdictTable>& slot = tables_[machine];
     if (!slot) {
-        slot = std::make_unique<ViewCache>(options_.view_cache_entries);
+        slot = std::make_unique<VerdictTable>();
     }
     return slot.get();
 }

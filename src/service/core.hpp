@@ -1,6 +1,6 @@
 #pragma once
 
-#include "dtm/view_cache.hpp"
+#include "hierarchy/verdict_table.hpp"
 #include "obs/metrics.hpp"
 #include "service/admission/admission.hpp"
 #include "service/graph_store.hpp"
@@ -49,7 +49,6 @@ struct ServiceOptions {
     double default_deadline_ms = 0;
 
     std::size_t memo_entries = 1 << 12;
-    std::size_t view_cache_entries = 1 << 18;
 
     /// Upper bound on one micro-batch (requests sharing a graph digest that
     /// one worker drains together).
@@ -62,7 +61,8 @@ struct ServiceOptions {
 
     /// The three serving optimizations, individually toggleable so the load
     /// generator can measure each against the one-engine-call-per-request
-    /// baseline (all three off).
+    /// baseline (all three off).  share_view_cache shares one verdict table
+    /// per machine across requests; off, every game gets a private table.
     bool memoize_results = true;
     bool batch_by_graph = true;
     bool share_view_cache = true;
@@ -73,7 +73,7 @@ struct ServiceOptions {
     bool manual_drain = false;
 
     /// Warm-start persistence (DESIGN.md "Resilience"): when set, the memo
-    /// and the shared view caches are loaded from this snapshot file at
+    /// and the shared verdict tables are loaded from this snapshot file at
     /// construction (a missing/corrupt/mismatched file cold-starts cleanly)
     /// and saved back on stop() — and, with snapshot_period_ms > 0, by a
     /// background thread every period.
@@ -160,8 +160,8 @@ struct ServiceStats {
 
 /// The batched query-serving core: a bounded MPMC request queue, a worker
 /// pool, per-request deadline propagation, micro-batching of requests that
-/// share a graph, a per-machine shared ViewCache, and a cross-request result
-/// memo keyed by (instance digest, query).
+/// share a graph, a per-machine shared verdict table, and a cross-request
+/// result memo keyed by (instance digest, query).
 ///
 /// Transports (service/server.hpp) parse wire lines into Requests and submit
 /// them; the core never touches sockets or streams.
@@ -199,17 +199,18 @@ public:
     std::size_t queue_depth() const;
     ServiceStats stats() const;
     ResultMemoStats memo_stats() const;
-    /// Aggregated over the per-machine shared view caches.
-    ViewCacheStats view_cache_stats() const;
+    /// Aggregated over the per-machine shared verdict tables.
+    VerdictTable::Stats table_stats() const;
     SnapshotStats snapshot_stats() const;
 
-    /// The memo + shared view caches as snapshot sections ("memo", then one
-    /// "view:<machine>" per shared cache), oldest-first for LRU replay.
+    /// The memo + shared verdict tables as snapshot sections ("memo", then
+    /// one "table:<machine>" per table), oldest-first for LRU replay.
     SnapshotData snapshot_data() const;
 
-    /// Replays snapshot sections into the memo / shared view caches (without
-    /// polluting hit/miss counters); unknown sections are ignored so a newer
-    /// writer's extra sections degrade gracefully.  Returns entries admitted.
+    /// Replays snapshot sections into the memo / shared verdict tables
+    /// (without polluting hit/miss counters); unknown sections — a newer
+    /// writer's, or the "view:<machine>" sections of older ones — are
+    /// ignored.  Returns entries admitted.
     std::size_t restore_from(const SnapshotData& data);
 
     /// Saves snapshot_path now (atomic tmp+rename); false (with a structured
@@ -267,6 +268,7 @@ private:
     /// The layers-0 fast path: merges retained per-node verdicts with
     /// induced-ball reruns of the dirty nodes; falls back to one full
     /// run_local when retention is unavailable or any ball run is unclean.
+    /// (Layered patch queries are ordinary games over the shared table.)
     std::string evaluate_patch_decider(const Request& request,
                                        const BuiltGame& game,
                                        const PatchOutcome& outcome,
@@ -283,7 +285,8 @@ private:
     /// `registry` — the single collection point behind publish_metrics(),
     /// the stats wire body, and the `--metrics=` file.
     void collect_metrics(obs::MetricsRegistry& registry) const;
-    ViewCache* cache_for(const std::string& machine);
+    /// The machine's shared verdict table, created on first use.
+    VerdictTable* table_for(const std::string& machine);
     void load_snapshot();
     void snapshot_loop();
 
@@ -310,8 +313,8 @@ private:
 
     ResultMemo memo_;
     GraphStore graphs_;
-    mutable std::mutex cache_mutex_;
-    std::map<std::string, std::unique_ptr<ViewCache>> view_caches_;
+    mutable std::mutex table_mutex_;
+    std::map<std::string, std::unique_ptr<VerdictTable>> tables_;
 
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> rejected_{0};

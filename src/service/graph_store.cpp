@@ -82,6 +82,7 @@ GraphStore::RegisterResult GraphStore::register_graph(
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = graphs_.find(digest);
     if (it != graphs_.end()) {
+        recency_.splice(recency_.begin(), recency_, it->second.recency);
         result.existed = true;
         return result;
     }
@@ -89,14 +90,40 @@ GraphStore::RegisterResult GraphStore::register_graph(
     resident->graph = graph;
     resident->canonical = canonical;
     resident->digest = digest;
-    graphs_.emplace(digest, std::move(resident));
+    insert_locked(digest, std::move(resident), graph.num_nodes());
     return result;
 }
 
-std::shared_ptr<ResidentGraph> GraphStore::find(std::uint64_t digest) const {
+std::shared_ptr<ResidentGraph> GraphStore::find(std::uint64_t digest) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = graphs_.find(digest);
-    return it == graphs_.end() ? nullptr : it->second;
+    if (it == graphs_.end()) {
+        return nullptr;
+    }
+    recency_.splice(recency_.begin(), recency_, it->second.recency);
+    return it->second.resident;
+}
+
+void GraphStore::insert_locked(std::uint64_t digest,
+                               std::shared_ptr<ResidentGraph> resident,
+                               std::size_t nodes) {
+    recency_.push_front(digest);
+    graphs_.emplace(digest, Slot{std::move(resident), recency_.begin(), nodes});
+    nodes_ += nodes;
+    while ((graphs_.size() > kMaxGraphs || nodes_ > kMaxNodes) &&
+           recency_.back() != digest) {
+        erase_locked(recency_.back());
+    }
+}
+
+void GraphStore::erase_locked(std::uint64_t digest) {
+    const auto it = graphs_.find(digest);
+    if (it == graphs_.end()) {
+        return;
+    }
+    nodes_ -= it->second.nodes;
+    recency_.erase(it->second.recency);
+    graphs_.erase(it);
 }
 
 PatchOutcome GraphStore::apply_patch(std::uint64_t digest,
@@ -213,14 +240,20 @@ PatchOutcome GraphStore::apply_patch(std::uint64_t digest,
     }
 
     // Commit: re-key the store entry (map mutex nests inside the resident
-    // mutex, never the reverse), then swap the staged graph in.
-    if (outcome.new_digest != digest) {
+    // mutex, never the reverse), then swap the staged graph in.  If a
+    // distinct resident already holds the new digest (the patch reproduced
+    // registered content), this resident takes over the key; digests name
+    // content, so either answer is the same graph.  A resident evicted while
+    // the patch ran comes back under its new digest, which the response
+    // hands the client.
+    {
         std::lock_guard<std::mutex> map_lock(mutex_);
-        graphs_.erase(digest);
-        // If a distinct resident already holds the new digest (the patch
-        // reproduced registered content), this resident takes over the key;
-        // digests name content, so either answer is the same graph.
-        graphs_[outcome.new_digest] = resident;
+        const auto it = graphs_.find(digest);
+        if (it != graphs_.end() && it->second.resident == resident) {
+            erase_locked(digest);
+        }
+        erase_locked(outcome.new_digest);
+        insert_locked(outcome.new_digest, resident, work.num_nodes());
     }
     resident->graph = std::move(work);
     resident->canonical = outcome.canonical;

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,12 +75,20 @@ struct ResidentGraph {
 /// re-key the resident under its new digest; the old digest stops resolving
 /// (a client holding it must re-register or follow the echoed new digest).
 ///
+/// Residency is bounded: once more than kMaxGraphs graphs or kMaxNodes nodes
+/// are resident, the least recently used other graphs are evicted (retained
+/// verdicts with them).  An evicted digest answers like any unknown digest
+/// until the client registers the graph again.
+///
 /// Lock order: a resident's mutex may be held while taking the store map
 /// mutex (apply_patch re-keys), never the reverse — find() copies the
 /// shared_ptr out under the map mutex and releases it before any resident
 /// lock is taken.
 class GraphStore {
 public:
+    static constexpr std::size_t kMaxGraphs = 1024;
+    static constexpr std::size_t kMaxNodes = std::size_t{1} << 18;
+
     struct RegisterResult {
         std::uint64_t digest = 0;
         std::size_t nodes = 0;
@@ -92,8 +101,9 @@ public:
     RegisterResult register_graph(const LabeledGraph& graph,
                                   const std::string& canonical);
 
-    /// The resident a digest names, nullptr when unknown.
-    std::shared_ptr<ResidentGraph> find(std::uint64_t digest) const;
+    /// The resident a digest names (now the most recently used), nullptr
+    /// when unknown.
+    std::shared_ptr<ResidentGraph> find(std::uint64_t digest);
 
     /// Applies `ops` in order to the resident graph `digest` names and
     /// computes the dirty set for radius `radius` under identifier scheme
@@ -121,8 +131,23 @@ public:
     std::size_t size() const;
 
 private:
+    struct Slot {
+        std::shared_ptr<ResidentGraph> resident;
+        std::list<std::uint64_t>::iterator recency;
+        std::size_t nodes = 0;
+    };
+
+    /// Makes `resident` the most recently used graph under `digest` (which
+    /// must not be in the map), then evicts while over a cap.
+    void insert_locked(std::uint64_t digest,
+                       std::shared_ptr<ResidentGraph> resident,
+                       std::size_t nodes);
+    void erase_locked(std::uint64_t digest);
+
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<ResidentGraph>> graphs_;
+    std::unordered_map<std::uint64_t, Slot> graphs_;
+    std::list<std::uint64_t> recency_; ///< front = most recently used
+    std::size_t nodes_ = 0;            ///< summed over resident graphs
 };
 
 } // namespace service

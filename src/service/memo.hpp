@@ -31,14 +31,14 @@ struct ResultMemoStats {
 
     /// Metric list under the `memo.` naming scheme, absorbed into the
     /// session registry by ServiceCore::publish_metrics — the same snapshot
-    /// path the engine's GameStats/ViewCacheStats rows already use.
+    /// path the engine's GameStats/VerdictTable::Stats rows already use.
     obs::MetricList to_metrics() const;
 };
 
 /// Thread-safe bounded map from request memo keys (Request::memo_key) to
-/// rendered response bodies.  Same sharded-LRU shape as the engine's
-/// ViewCache, one level up: where the ViewCache deduplicates node views
-/// *inside* a solve, this deduplicates entire requests *across* clients.
+/// rendered response bodies.  The engine's verdict table deduplicates node
+/// views across leaves and solves; this deduplicates entire requests
+/// *across* clients.
 /// Only clean ("ok") results are ever inserted, so a hit can be replayed
 /// verbatim under any deadline.
 class ResultMemo {

@@ -16,8 +16,8 @@ namespace service {
 constexpr std::uint32_t kSnapshotVersion = 1;
 
 /// One named key/value section of a snapshot.  The serving layer writes a
-/// "memo" section (the cross-request result memo) plus one "view:<machine>"
-/// section per machine-shared ViewCache; the codec itself is agnostic.
+/// "memo" section (the cross-request result memo) plus one "table:<machine>"
+/// section per machine-shared verdict table; the codec itself is agnostic.
 struct SnapshotSection {
     std::string name;
     /// Oldest-first, so replaying `insert` calls reproduces LRU recency.

@@ -188,8 +188,7 @@ std::string Request::memo_key() const {
             << '|' << tolerate_faults << '|' << fault_seed << '|'
             << render_double(fault_crash) << '|' << render_double(fault_drop)
             << '|' << render_double(fault_truncate) << '|'
-            << render_double(fault_corrupt) << '|' << backend << '|'
-            << graph_digest();
+            << render_double(fault_corrupt) << '|' << graph_digest();
         break;
     case RequestType::Logic:
         key << "logic|" << formula << '|' << fseed << '|' << graph_digest();
@@ -253,9 +252,6 @@ std::string Request::to_json() const {
         if (fault_corrupt > 0) {
             out << ",\"fault_corrupt\":" << render_double(fault_corrupt);
         }
-        if (backend != "compiled") {
-            out << ",\"backend\":\"" << json_escape(backend) << "\"";
-        }
         break;
     case RequestType::Logic:
         out << ",\"formula\":\"" << json_escape(formula) << "\"";
@@ -311,9 +307,6 @@ std::string Request::to_json() const {
                 << ",\"layers\":" << layers
                 << ",\"sigma\":" << (sigma ? "true" : "false") << ",\"ids\":\""
                 << json_escape(ids) << "\"";
-            if (backend != "compiled") {
-                out << ",\"backend\":\"" << json_escape(backend) << "\"";
-            }
         }
         break;
     }
@@ -456,12 +449,6 @@ Request parse_request(const std::string& line, std::size_t line_number,
                 } else if (key == "fault_corrupt") {
                     r.fault_corrupt =
                         parse_probability(value, "\"fault_corrupt\"");
-                } else if (key == "backend") {
-                    check(value.is_string() && (value.string == "compiled" ||
-                                                value.string == "interpreted"),
-                          "\"backend\" must be \"compiled\" or "
-                          "\"interpreted\"");
-                    r.backend = value.string;
                 } else {
                     known = false;
                 }
@@ -558,12 +545,6 @@ Request parse_request(const std::string& line, std::size_t line_number,
                               (value.string == "global" || value.string == "local"),
                           "\"ids\" must be \"global\" or \"local\"");
                     r.ids = value.string;
-                } else if (key == "backend") {
-                    check(value.is_string() && (value.string == "compiled" ||
-                                                value.string == "interpreted"),
-                          "\"backend\" must be \"compiled\" or "
-                          "\"interpreted\"");
-                    r.backend = value.string;
                 } else {
                     known = false;
                 }
@@ -657,18 +638,15 @@ std::string Response::to_json() const {
     }
     if (status == "ok") {
         out << ",\"memo\":\"" << (memo_hit ? "hit" : "miss")
-            << "\",\"batch\":" << batch << ",\"service_ms\":" << service_ms;
+            << "\",\"batch\":" << batch;
     }
     if (timing.present) {
         out << ",\"timing\":{\"queue_us\":" << timing.queue_us
             << ",\"batch_us\":" << timing.batch_us
             << ",\"exec_us\":" << timing.exec_us
             << ",\"write_us\":" << timing.write_us << ",\"memo_hit\":"
-            << (memo_hit ? "true" : "false") << ",\"batch_size\":" << batch;
-        if (!timing.backend.empty()) {
-            out << ",\"backend\":\"" << json_escape(timing.backend) << "\"";
-        }
-        out << ",\"worker_pid\":" << timing.worker_pid
+            << (memo_hit ? "true" : "false") << ",\"batch_size\":" << batch
+            << ",\"worker_pid\":" << timing.worker_pid
             << ",\"generation\":" << timing.generation << "}";
     }
     if (!trace_id.empty()) {
@@ -700,9 +678,6 @@ std::optional<TimingView> parse_timing(const std::string& line) {
                 view.memo_hit = value.boolean;
             } else if (key == "batch_size") {
                 view.batch_size = json_to_u64(value, "\"batch_size\"");
-            } else if (key == "backend") {
-                check(value.is_string(), "\"backend\" must be a string");
-                view.backend = value.string;
             } else if (key == "worker_pid") {
                 view.worker_pid = static_cast<std::int64_t>(
                     json_to_u64(value, "\"worker_pid\""));

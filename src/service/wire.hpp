@@ -84,12 +84,9 @@ const char* to_string(PatchOp::Kind kind);
 /// inside the response so multi-hop timings can be correlated; like "id" it
 /// is excluded from the memo key.  "stats" additionally accepts
 /// "detail":"full" for the bucket-level registry snapshot.
-/// Game extras: "tolerate_faults", "fault_seed"/"fault_crash"/"fault_drop"/
-/// "fault_truncate"/"fault_corrupt" (a deterministic FaultPlan), and
-/// "backend" ("compiled", the default, or "interpreted" — which
-/// leaf-evaluation core the game engine uses; results are bit-identical, so
-/// the choice only matters for performance comparisons).  Unknown fields are
-/// protocol errors — strict by design.
+/// Game extras: "tolerate_faults" and "fault_seed"/"fault_crash"/
+/// "fault_drop"/"fault_truncate"/"fault_corrupt" (a deterministic
+/// FaultPlan).  Unknown fields are protocol errors — strict by design.
 struct Request {
     RequestType type = RequestType::Health;
     std::string id;          ///< client correlation id, "" when absent
@@ -110,11 +107,6 @@ struct Request {
     double fault_drop = 0;
     double fault_truncate = 0;
     double fault_corrupt = 0;
-    /// Leaf-evaluation core: "compiled" | "interpreted".  Part of the memo
-    /// key — the two backends return identical verdicts but differently
-    /// profiled results, and a memo must never serve a result computed by a
-    /// backend the client did not ask for.
-    std::string backend = "compiled";
 
     // logic
     std::string formula;
@@ -192,15 +184,14 @@ Request parse_request(const std::string& line, std::size_t line_number,
 ///
 /// The identity fields let an aggregator attribute the sample to a worker:
 /// worker_pid is the serving process, generation its supervisor restart
-/// count.  memo_hit/batch_size/backend mirror the envelope so the timing
-/// object is self-contained for clients that only parse it.
+/// count.  memo_hit/batch_size mirror the envelope so the timing object is
+/// self-contained for clients that only parse it.
 struct ResponseTiming {
     bool present = false;
     std::uint64_t queue_us = 0;
     std::uint64_t batch_us = 0;
     std::uint64_t exec_us = 0;
     std::uint64_t write_us = 0;
-    std::string backend;          ///< "" = not a game execution, omitted
     std::int64_t worker_pid = 0;
     std::uint64_t generation = 0;
 
@@ -212,10 +203,9 @@ struct ResponseTiming {
 /// One wire response: a single JSON line.
 ///
 ///   {"id":7,"status":"ok","type":"game","accepted":true,...,
-///    "memo":"miss","batch":3,"service_ms":0.42,
+///    "memo":"miss","batch":3,
 ///    "timing":{"queue_us":12,"batch_us":3,"exec_us":410,"write_us":2,
-///     "memo_hit":false,"batch_size":3,"backend":"compiled",
-///     "worker_pid":4242,"generation":1}}
+///     "memo_hit":false,"batch_size":3,"worker_pid":4242,"generation":1}}
 ///   {"status":"error","error":"DeadlineExceeded","detail":"..."}
 ///   {"status":"rejected","error":"QueueFull","detail":"..."}
 struct Response {
@@ -230,7 +220,6 @@ struct Response {
     std::string body;
     bool memo_hit = false;
     std::size_t batch = 1;   ///< requests served by this request's batch
-    double service_ms = 0;   ///< dequeue-to-completion time
     std::string trace_id;    ///< echoed request trace id token, "" absent
     ResponseTiming timing;   ///< stage breakdown, rendered when present
 
@@ -248,7 +237,7 @@ struct Response {
 /// The verdict-bearing view of one response line — what the chaos smoke and
 /// `lph_client --verify --against` compare.  Only the boolean verdict fields
 /// ("accepted", "answer", "satisfied", "passed") are semantic; envelope
-/// fields like service_ms/memo/batch legitimately differ across runs.
+/// fields like timing/memo/batch legitimately differ across runs.
 struct VerdictView {
     std::string id;     ///< raw id token ("7" / "\"abc\""); "" when absent
     std::string status; ///< "ok" | "error" | "rejected"
@@ -271,7 +260,6 @@ struct TimingView {
     std::uint64_t write_us = 0;
     bool memo_hit = false;
     std::uint64_t batch_size = 1;
-    std::string backend;
     std::int64_t worker_pid = 0;
     std::uint64_t generation = 0;
 

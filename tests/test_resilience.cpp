@@ -1,14 +1,13 @@
 // Tests for the resilience layer (DESIGN.md "Resilience"): the snapshot
 // codec's fail-closed decoding (every single-byte corruption, truncation,
 // version mismatch, and hostile length field must reject — a snapshot is
-// never trusted partially), memo/view-cache export/restore, ServiceCore
+// never trusted partially), memo export/restore, ServiceCore
 // warm-start round trips, the supervisor's backoff/circuit-breaker ledger,
 // client retry backoff, wire-level chaos determinism and the garble
 // soundness property, the SIGPIPE-proof transport, and the open oracle
 // check registry.
 
 #include "core/check.hpp"
-#include "dtm/view_cache.hpp"
 #include "oracle/harness.hpp"
 #include "service/chaos.hpp"
 #include "service/core.hpp"
@@ -47,8 +46,9 @@ SnapshotData sample_snapshot() {
                     // and high bytes (view keys are binary encodings).
                     {std::string("bin\0key\n", 8), std::string("\xff\x00v", 3)}};
     SnapshotSection views;
-    views.name = "view:allsel";
-    views.entries = {{"ballkey1", "1"}, {"ballkey2", "0"}};
+    views.name = "table:allsel";
+    views.entries = {{"class1", std::string("\x01\0\0\0\0\0\0\0", 8)},
+                     {"class2", "verdicts"}};
     data.sections = {memo, views};
     return data;
 }
@@ -214,15 +214,6 @@ TEST(MemoSnapshot, RestoreRespectsShrunkCapacity) {
     const std::size_t admitted = small.restore(big.export_entries());
     EXPECT_LE(admitted, 8u);
     EXPECT_LE(small.stats().entries, 8u);
-}
-
-TEST(ViewCacheSnapshot, RestoreNeverOverwritesLiveVerdicts) {
-    ViewCache cache(64);
-    cache.insert("ball", "1");
-    const std::size_t admitted = cache.restore({{"ball", "0"}, {"other", "1"}});
-    EXPECT_EQ(admitted, 1u); // "other" admitted, conflicting "ball" refused
-    EXPECT_EQ(cache.lookup("ball").value(), "1");
-    EXPECT_EQ(cache.stats().verdict_mismatches, 1u);
 }
 
 // ------------------------------------------------- core warm start ---------

@@ -16,6 +16,7 @@
 #include "graph/identifiers.hpp"
 #include "graph/serialize.hpp"
 #include "hierarchy/game.hpp"
+#include "hierarchy/verdict_table.hpp"
 #include "obs/log_histogram.hpp"
 #include "obs/session.hpp"
 #include "oracle/harness.hpp"
@@ -265,7 +266,6 @@ TEST(Wire, RequestRoundTripProperty) {
         r.sigma = rng.chance(0.5);
         r.ids = rng.chance(0.5) ? "global" : "local";
         r.tolerate_faults = rng.chance(0.3);
-        r.backend = rng.chance(0.5) ? "compiled" : "interpreted";
         if (rng.chance(0.3)) {
             r.fault_seed = rng.uniform(1, 1000);
             r.fault_crash = 0.25;
@@ -296,22 +296,24 @@ TEST(Wire, MemoKeyExcludesIdAndDeadline) {
     EXPECT_EQ(a.memo_key(), b.memo_key());
 }
 
-TEST(Wire, BackendFieldValidatedAndPartOfMemoKey) {
+TEST(Wire, BackendIsAnUnknownField) {
+    // There is one leaf-evaluation engine; naming one is a protocol error
+    // like any other unknown field.
     const std::string base =
         "{\"type\":\"game\",\"machine\":\"coloring2\",\"layers\":1,"
         "\"graph\":\"" + cycle6_payload() + "\"";
-    const Request dflt = parse_request(base + "}", 1, WireLimits{});
-    EXPECT_EQ(dflt.backend, "compiled");
-    const Request interp =
-        parse_request(base + ",\"backend\":\"interpreted\"}", 1, WireLimits{});
-    EXPECT_EQ(interp.backend, "interpreted");
-    // The backends profile differently, so they must never share a memo slot.
-    EXPECT_NE(dflt.memo_key(), interp.memo_key());
-    EXPECT_EQ(parse_request(interp.to_json(), 1, WireLimits{}).backend,
-              "interpreted");
-    EXPECT_THROW(
-        parse_request(base + ",\"backend\":\"quantum\"}", 1, WireLimits{}),
-        precondition_error);
+    EXPECT_NO_THROW(parse_request(base + "}", 1, WireLimits{}));
+    for (const char* backend : {"compiled", "interpreted"}) {
+        try {
+            parse_request(base + ",\"backend\":\"" + backend + "\"}", 1,
+                          WireLimits{});
+            FAIL() << "backend " << backend << " was accepted";
+        } catch (const precondition_error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown field \"backend\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Wire, EvalRequestCanonicalizesAndRoundTrips) {
@@ -427,7 +429,10 @@ TEST(ServiceCore, MemoServesRepeatedRequestsAndReportsGauges) {
     EXPECT_TRUE(snapshot.count("service.cache.hits"));
 }
 
-TEST(ServiceCore, BackendsAgreeOnTheWireButMemoSeparately) {
+TEST(ServiceCore, GamesShareOnePerMachineTable) {
+    // The Sigma and the Pi side of one game differ only in who moves first,
+    // so the second request (no memo hit: a different query) is answered
+    // from the table the first one filled, without running the machine.
     obs::Session session;
     ServiceOptions options = manual_options();
     options.obs = &session;
@@ -435,24 +440,28 @@ TEST(ServiceCore, BackendsAgreeOnTheWireButMemoSeparately) {
     const std::string base =
         "{\"type\":\"game\",\"machine\":\"coloring2\",\"layers\":1,"
         "\"graph\":\"" + cycle11_payload() + "\"";
-    const Response interpreted = core.call(parse_request(
-        base + ",\"backend\":\"interpreted\"}", 1, WireLimits{}));
-    const Response compiled = core.call(parse_request(base + "}", 1,
-                                                      WireLimits{}));
-    ASSERT_EQ(compiled.status, "ok");
-    ASSERT_EQ(interpreted.status, "ok");
-    EXPECT_FALSE(compiled.memo_hit); // backend is part of the memo key
-    EXPECT_EQ(compiled.body, interpreted.body); // bit-identical results
+    const Response sigma = core.call(parse_request(base + "}", 1, WireLimits{}));
+    ASSERT_EQ(sigma.status, "ok");
+    const VerdictTable::Stats after_sigma = core.table_stats();
+    EXPECT_GT(after_sigma.misses, 0u);
+    const Response pi = core.call(
+        parse_request(base + ",\"sigma\":false}", 1, WireLimits{}));
+    ASSERT_EQ(pi.status, "ok");
+    EXPECT_FALSE(pi.memo_hit);
+    const VerdictTable::Stats after_pi = core.table_stats();
+    EXPECT_EQ(after_pi.misses, after_sigma.misses);
+    EXPECT_GT(after_pi.hits, after_sigma.hits);
+    EXPECT_EQ(after_pi.classes, 11u);
+    EXPECT_EQ(after_pi.verdict_mismatches, 0u);
 
-    // The default (compiled) request flowed through the packed evaluator and
-    // its counters reached the session registry.
+    // The packed scan's counters and the table's reach the registry.
     core.publish_metrics();
     std::map<std::string, double> snapshot;
     for (const auto& [name, value] : session.metrics().snapshot()) {
         snapshot[name] = value;
     }
-    EXPECT_GE(snapshot.at("game.compiled_classes"), 1.0);
     EXPECT_GE(snapshot.at("game.packed_words_evaluated"), 1.0);
+    EXPECT_EQ(snapshot.at("service.cache.classes"), 11.0);
 }
 
 TEST(ServiceCore, QueueFullIsStructuredRejectionNotHang) {
@@ -972,6 +981,60 @@ TEST(GraphStore, DirtyBallStopsAtExactRadius) {
     }
 }
 
+TEST(GraphStore, CapsResidencyAndEvictsTheLeastRecentlyUsed) {
+    // Registering past the graph cap evicts the least recently used graph;
+    // its digest then answers UnknownGraph until it is registered again.
+    ServiceCore core(manual_options());
+    const auto register_line = [](const LabeledGraph& g) {
+        return parse_request("{\"type\":\"graph_register\",\"graph\":\"" +
+                                 escape_newlines(graph_to_text(g)) + "\"}",
+                             1, WireLimits{});
+    };
+    const auto labeled_path = [](std::size_t i) {
+        LabeledGraph g = path_graph(3, "1");
+        g.set_label(0, encode_unsigned_width(i, 12)); // distinct content
+        return g;
+    };
+    const LabeledGraph first = labeled_path(0);
+    const std::uint64_t first_digest = fnv1a64(graph_to_text(first));
+    ASSERT_EQ(core.call(register_line(first)).status, "ok");
+    for (std::size_t i = 1; i <= GraphStore::kMaxGraphs; ++i) {
+        ASSERT_EQ(core.call(register_line(labeled_path(i))).status, "ok");
+    }
+    EXPECT_EQ(core.stats().graphs_resident, GraphStore::kMaxGraphs);
+
+    const Request query = parse_request(
+        "{\"type\":\"game\",\"machine\":\"allsel\",\"layers\":0,"
+        "\"digest\":\"" + std::to_string(first_digest) + "\"}",
+        1, WireLimits{});
+    const Response evicted = core.call(query);
+    EXPECT_EQ(evicted.status, "error");
+    EXPECT_EQ(evicted.error, "UnknownGraph");
+
+    const Response again = core.call(register_line(first));
+    ASSERT_EQ(again.status, "ok");
+    EXPECT_NE(again.body.find("\"existed\":false"), std::string::npos);
+    EXPECT_EQ(core.call(query).status, "ok");
+    EXPECT_EQ(core.stats().graphs_resident, GraphStore::kMaxGraphs);
+}
+
+TEST(GraphStore, CapsResidentNodes) {
+    // Past the node cap the least recently used graphs go, most recent kept.
+    GraphStore store;
+    const std::size_t n = 1000;
+    const std::size_t fits = GraphStore::kMaxNodes / n;
+    ASSERT_LT(fits, GraphStore::kMaxGraphs);
+    std::vector<std::uint64_t> digests;
+    for (std::size_t i = 0; i <= fits; ++i) {
+        LabeledGraph g = path_graph(n, "1");
+        g.set_label(0, encode_unsigned_width(i, 12));
+        digests.push_back(store.register_graph(g, graph_to_text(g)).digest);
+    }
+    EXPECT_EQ(store.size(), fits);
+    EXPECT_EQ(store.find(digests.front()), nullptr);
+    EXPECT_NE(store.find(digests.back()), nullptr);
+}
+
 TEST(GraphStore, InvalidOpRollsBackTheWholePatch) {
     GraphStore store;
     const LabeledGraph cycle = graph_from_text(cycle6_text());
@@ -1105,11 +1168,9 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     std::uint64_t digest = register_resident(core, mirror);
 
     const auto check_step = [&](const std::string& ops_json,
-                                const std::string& machine, int layers,
-                                const std::string& backend) {
+                                const std::string& machine, int layers) {
         const std::string extras = ",\"machine\":\"" + machine +
-                                   "\",\"layers\":" + std::to_string(layers) +
-                                   ",\"backend\":\"" + backend + "\"";
+                                   "\",\"layers\":" + std::to_string(layers);
         const Response served =
             core.call(patch_request(digest, ops_json, extras));
         ASSERT_EQ(served.status, "ok") << served.detail;
@@ -1120,8 +1181,7 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
             << served.body;
         const Response full = golden.serve_unbatched(parse_request(
             "{\"type\":\"game\",\"machine\":\"" + machine +
-                "\",\"layers\":" + std::to_string(layers) + ",\"backend\":\"" +
-                backend + "\",\"graph\":\"" +
+                "\",\"layers\":" + std::to_string(layers) + ",\"graph\":\"" +
                 escape_newlines(graph_to_text(mirror)) + "\"}",
             1, WireLimits{}));
         ASSERT_EQ(full.status, "ok") << full.detail;
@@ -1132,11 +1192,9 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     // Chord toggle, twice: the second query reuses the verdicts retained by
     // the first and goes through the incremental decider path.
     mirror.add_edge(0, 2);
-    check_step("{\"op\":\"add_edge\",\"u\":0,\"v\":2}", "eulerian", 0,
-               "interpreted");
+    check_step("{\"op\":\"add_edge\",\"u\":0,\"v\":2}", "eulerian", 0);
     mirror.remove_edge(0, 2);
-    check_step("{\"op\":\"remove_edge\",\"u\":0,\"v\":2}", "eulerian", 0,
-               "interpreted");
+    check_step("{\"op\":\"remove_edge\",\"u\":0,\"v\":2}", "eulerian", 0);
 
     // Grow through a (momentarily) disconnected state inside one patch.
     mirror.add_node("1");
@@ -1144,12 +1202,11 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     check_step(
         "{\"op\":\"add_node\",\"label\":\"1\"},"
         "{\"op\":\"add_edge\",\"u\":8,\"v\":3}",
-        "eulerian", 0, "interpreted");
+        "eulerian", 0);
 
-    // Relabel plus a layered query: the engine's partial-leaves path.
+    // Relabel plus a layered query: a game over the shared table.
     mirror.set_label(5, "0");
-    check_step("{\"op\":\"relabel\",\"u\":5,\"label\":\"0\"}", "coloring2", 1,
-               "interpreted");
+    check_step("{\"op\":\"relabel\",\"u\":5,\"label\":\"0\"}", "coloring2", 1);
 
     // Shrink back (LIFO, so no renumbering surprises on the mirror).
     mirror.remove_edge(8, 3);
@@ -1157,7 +1214,7 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     check_step(
         "{\"op\":\"remove_edge\",\"u\":8,\"v\":3},"
         "{\"op\":\"remove_node\",\"u\":8}",
-        "eulerian", 0, "interpreted");
+        "eulerian", 0);
 
     const ServiceStats stats = core.stats();
     EXPECT_EQ(stats.patches_applied, 5u);
@@ -1166,62 +1223,56 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     EXPECT_GT(stats.patch_total_nodes, stats.patch_dirty_nodes);
 }
 
-TEST(EnginePartialLeaves, MatchesFullSolveBitIdentically) {
-    // The engine boundary of incremental serving: partial_leaves with a
-    // dirty-node hint, against a shared cache warmed by the pre-patch graph,
-    // must reproduce the verdict AND the deterministic counters of a fresh
-    // full solve on the patched graph.
-    // allsel gathers at radius 0 (round bound 1), so a relabel dirties only
-    // the node itself and its radius-1 ball sim stays far below the
-    // whole-graph cost — the profitability gate keeps the partial path.
-    const BuiltGame game = build_game("allsel", 1, true);
-    const LabeledGraph before = cycle_graph(8, "1");
+TEST(LayeredPatchQuery, UntouchedViewsHitTheSharedTable) {
+    // The engine boundary of incremental serving: after a relabel, a layered
+    // query over the table the pre-patch graph filled runs the machine only
+    // for leaves touching the dirty balls, and still reproduces the verdict
+    // and the deterministic counters of an unmemoized solve.
+    const BuiltGame game = build_game("coloring2", 1, true);
+    const LabeledGraph before = cycle_graph(13, "1");
     LabeledGraph after = before;
-    after.set_label(5, "0");
+    after.set_label(6, "0");
     const IdentifierAssignment id = make_global_ids(after);
 
-    ViewCache shared(1 << 16);
+    VerdictTable shared;
     GameOptions warm;
     warm.threads = 1;
     warm.view_cache = &shared;
-    play_game(game.spec, before, id, warm);
+    play_game(game.spec, before, id, warm); // odd cycle: exhaustive
 
     // Dirty set for the relabel, computed by the same store the service uses.
     GraphStore store;
     store.register_graph(before, graph_to_text(before));
     std::vector<PatchOp> relabel(1);
     relabel[0].kind = PatchOp::Kind::Relabel;
-    relabel[0].u = 5;
+    relabel[0].u = 6;
     relabel[0].label = "0";
-    const ViewKeyBuilder keys(*game.spec.machine, after, id,
-                              ExecutionOptions{});
     const PatchOutcome outcome = store.apply_patch(
-        fnv1a64(graph_to_text(before)), relabel, keys.radius(), "global",
+        fnv1a64(graph_to_text(before)), relabel,
+        view_radius(*game.spec.machine, ExecutionOptions{}), "global",
         game.spec.machine->id_radius(), "", WireLimits{});
-    EXPECT_EQ(outcome.dirty, (std::vector<NodeId>{5}));
+    EXPECT_EQ(outcome.dirty, (std::vector<NodeId>{4, 5, 6, 7, 8}));
 
-    GameOptions partial;
-    partial.threads = 1;
-    partial.view_cache = &shared;
-    partial.partial_leaves = true;
-    partial.recompute_nodes = &outcome.dirty;
-    const GameResult incremental = play_game(game.spec, after, id, partial);
-
+    const GameResult incremental = play_game(game.spec, after, id, warm);
     GameOptions fresh;
     fresh.threads = 1;
     const GameResult full = play_game(game.spec, after, id, fresh);
+    GameOptions unmemoized = fresh;
+    unmemoized.memoize_views = false;
+    const GameResult reference = play_game(game.spec, after, id, unmemoized);
 
-    EXPECT_EQ(incremental.accepted, full.accepted);
-    EXPECT_EQ(incremental.machine_runs, full.machine_runs);
-    EXPECT_EQ(incremental.faulted_runs, full.faulted_runs);
-    EXPECT_EQ(incremental.witness.has_value(), full.witness.has_value());
-    // The incremental solve actually took the partial path: ball runs for
-    // the dirty region, no full-graph fallbacks.
-    EXPECT_GT(incremental.stats.ball_runs, 0u);
-    EXPECT_EQ(incremental.stats.partial_fallbacks, 0u);
-    EXPECT_GT(incremental.stats.partial_leaf_evals +
-                  incremental.stats.leaf_cache_hits,
-              0u);
+    for (const GameResult* result : {&incremental, &full}) {
+        EXPECT_EQ(result->accepted, reference.accepted);
+        EXPECT_EQ(result->machine_runs, reference.machine_runs);
+        EXPECT_EQ(result->faulted_runs, reference.faulted_runs);
+        EXPECT_EQ(result->witness.has_value(), reference.witness.has_value());
+    }
+    // Only the five dirty views needed runs; a fresh table needs all
+    // thirteen.
+    EXPECT_GT(incremental.stats.local_runs, 0u);
+    EXPECT_LT(2 * incremental.stats.local_runs, full.stats.local_runs)
+        << incremental.stats.local_runs << " vs " << full.stats.local_runs;
+    EXPECT_EQ(shared.stats().verdict_mismatches, 0u);
 }
 
 TEST(ServiceOracle, PatchOracleSmoke) {

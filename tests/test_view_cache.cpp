@@ -1,17 +1,20 @@
-// The locality-aware view cache: LRU mechanics and counters, the soundness
-// gates of ViewKeyBuilder, and — the part that must never regress — verdict
-// agreement between cache-on and cache-off runs on adversarial instances
-// built to maximize view collisions (repeated identifiers inside one graph,
-// one cache shared across different graphs).
+// Locality-aware memoization: the soundness gates and radius of
+// ViewKeyBuilder, and — the part that must never regress — verdict agreement
+// between table-on and table-off runs on adversarial instances built to
+// maximize view collisions (repeated identifiers inside one graph, one table
+// shared across different graphs).
 
 #include "dtm/faults.hpp"
 #include "dtm/view_cache.hpp"
 #include "graph/generators.hpp"
 #include "graphalg/coloring.hpp"
 #include "hierarchy/game.hpp"
+#include "hierarchy/verdict_table.hpp"
 #include "machines/verifiers.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace lph {
 namespace {
@@ -40,120 +43,6 @@ GameSpec coloring_spec(const ColoringVerifier& verifier,
     spec.layers = {&domain};
     spec.starts_existential = true;
     return spec;
-}
-
-// ---------------------------------------------------------------------------
-// ViewCache mechanics.
-// ---------------------------------------------------------------------------
-
-TEST(ViewCache, HitMissAndRefresh) {
-    ViewCache cache(1024);
-    EXPECT_FALSE(cache.lookup("a").has_value());
-    cache.insert("a", "1");
-    cache.insert("b", "0");
-    EXPECT_EQ(cache.lookup("a"), "1");
-    EXPECT_EQ(cache.lookup("b"), "0");
-    cache.insert("a", "1"); // same-verdict refresh is the expected pattern
-    EXPECT_EQ(cache.lookup("a"), "1");
-    const ViewCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 3u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_EQ(stats.verdict_mismatches, 0u);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(ViewCache, MismatchedReinsertIsCountedNotMasked) {
-#ifndef NDEBUG
-    GTEST_SKIP() << "debug builds assert on verdict mismatches instead";
-#else
-    // Equal keys must imply equal verdicts; a conflicting re-insert is a
-    // soundness violation that used to be silently overwritten.  It must be
-    // counted and must not change the stored verdict.
-    ViewCache cache(1024);
-    cache.insert("k", "1");
-    cache.insert("k", "0");
-    EXPECT_EQ(cache.lookup("k"), "1");
-    EXPECT_EQ(cache.stats().verdict_mismatches, 1u);
-    cache.insert("k", "1"); // agreeing refresh is not a mismatch
-    EXPECT_EQ(cache.stats().verdict_mismatches, 1u);
-#endif
-}
-
-TEST(ViewCache, BoundedLruEvictsTheColdTail) {
-    // Capacity below the shard count clamps every shard to one entry, so a
-    // second distinct key landing in the same shard must evict the first.
-    ViewCache cache(1);
-    for (int i = 0; i < 64; ++i) {
-        cache.insert("key" + std::to_string(i), "1");
-    }
-    const ViewCacheStats stats = cache.stats();
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LE(stats.entries, 16u); // at most one per shard
-    EXPECT_EQ(stats.entries + stats.evictions, 64u);
-}
-
-TEST(ViewCache, LruKeepsRecentlyUsedEntries) {
-    ViewCache cache(16); // one entry per shard
-    cache.insert("hot", "1");
-    // Touch "hot" between inserts; same-shard colliders evict each other,
-    // but an entry refreshed by lookup must survive its own shard's churn
-    // when nothing else maps there.
-    EXPECT_EQ(cache.lookup("hot"), "1");
-    cache.insert("hot", "1");
-    EXPECT_EQ(cache.lookup("hot"), "1");
-}
-
-TEST(ViewCache, RestoreCountsAdmittedEntriesOnly) {
-    // Regression: restore() used to count every insertion, including entries
-    // its own later insertions evicted again — a warm start into a shrunken
-    // cache reported more admissions than entries actually live.  The
-    // invariant: starting empty, admitted == entries retrievable afterwards.
-    ViewCache cache(1); // clamps every shard to one entry
-    std::vector<std::pair<std::string, std::string>> snapshot;
-    for (int i = 0; i < 64; ++i) {
-        snapshot.emplace_back("key" + std::to_string(i), "1");
-    }
-    const std::size_t admitted = cache.restore(snapshot);
-    std::size_t live = 0;
-    for (const auto& [key, verdict] : snapshot) {
-        live += cache.lookup(key).has_value() ? 1 : 0;
-    }
-    EXPECT_EQ(admitted, live);
-    EXPECT_EQ(admitted, cache.stats().entries);
-    EXPECT_LE(admitted, 16u); // one per shard
-
-    // Displacing a PRE-existing tail still counts: the snapshot entry was
-    // admitted, the victim just wasn't from this call.
-    ViewCache mixed(1);
-    for (int i = 0; i < 32; ++i) {
-        mixed.insert("pre" + std::to_string(i), "1");
-    }
-    std::vector<std::pair<std::string, std::string>> fresh;
-    for (int i = 0; i < 32; ++i) {
-        fresh.emplace_back("snap" + std::to_string(i), "0");
-    }
-    const std::size_t mixed_admitted = mixed.restore(fresh);
-    std::size_t fresh_live = 0;
-    for (const auto& [key, verdict] : fresh) {
-        fresh_live += mixed.lookup(key).has_value() ? 1 : 0;
-    }
-    EXPECT_EQ(mixed_admitted, fresh_live);
-    EXPECT_GT(mixed_admitted, 0u);
-}
-
-TEST(ViewCache, RestoreKeepsLiveVerdictOnConflict) {
-    // A snapshot key that already exists is not an admission, and a
-    // conflicting snapshot verdict must not overwrite live soundness data.
-    ViewCache cache(1024);
-    cache.insert("k", "1");
-    EXPECT_EQ(cache.restore({{"k", "0"}}), 0u);
-    EXPECT_EQ(cache.lookup("k"), "1");
-    EXPECT_EQ(cache.stats().verdict_mismatches, 1u);
-    EXPECT_EQ(cache.restore({{"k", "1"}}), 0u); // agreeing replay, no mismatch
-    EXPECT_EQ(cache.stats().verdict_mismatches, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,9 +86,10 @@ TEST(ViewKeyBuilder, GatesOffRunGlobalCouplings) {
     with_faults.faults = &plan;
     EXPECT_FALSE(ViewKeyBuilder(verifier, g, id, with_faults).cacheable());
 
+    // A deadline only aborts runs, and aborted runs are never recorded.
     ExecutionOptions with_deadline;
     with_deadline.deadline_ms = 1000;
-    EXPECT_FALSE(ViewKeyBuilder(verifier, g, id, with_deadline).cacheable());
+    EXPECT_TRUE(ViewKeyBuilder(verifier, g, id, with_deadline).cacheable());
 
     ExecutionOptions with_byte_cap;
     with_byte_cap.max_total_message_bytes = 1 << 20;
@@ -218,49 +108,55 @@ TEST(ViewKeyBuilder, RadiusIsTheCleanRunHorizon) {
 
     ExecutionOptions enforced;
     EXPECT_EQ(ViewKeyBuilder(verifier, g, id, enforced).radius(), 3);
+    EXPECT_EQ(view_radius(verifier, enforced), 3);
 
     ExecutionOptions loose;
     loose.enforce_declared_bounds = false;
     loose.max_rounds = 5;
     EXPECT_EQ(ViewKeyBuilder(verifier, g, id, loose).radius(), 5);
+    EXPECT_EQ(view_radius(verifier, loose), 5);
 }
 
 TEST(ViewKeyBuilder, KeysSeparateDifferentViews) {
-    // Distinct certificates inside the ball, distinct labels, and distinct
-    // boundary identifiers must all separate keys.
+    // Certificates inside the interior (distance <= R-1 = 2) belong to the
+    // view, certificates beyond it do not; labels inside the interior and
+    // identifiers on the boundary ring separate static prefixes.
     const LabeledGraph g = cycle_graph(9, "1");
     const auto id = make_global_ids(g);
     const ColoringVerifier verifier(2);
     const ViewKeyBuilder keys(verifier, g, id, ExecutionOptions{});
     ASSERT_TRUE(keys.cacheable());
+    const std::vector<NodeId>& members = keys.cert_members(0);
+    EXPECT_EQ(members.size(), 5u);
+    EXPECT_NE(std::find(members.begin(), members.end(), 1), members.end());
+    EXPECT_EQ(std::find(members.begin(), members.end(), 4), members.end());
 
-    const auto all_zero = CertificateListAssignment::concatenate(
-        {CertificateAssignment(std::vector<BitString>(9, "0"))}, 9);
-    std::vector<BitString> one_flip(9, "0");
-    one_flip[1] = "1"; // inside node 0's radius-2 interior
-    const auto flipped = CertificateListAssignment::concatenate(
-        {CertificateAssignment(one_flip)}, 9);
-
-    std::string a;
-    std::string b;
-    keys.key_for(0, all_zero, a);
-    keys.key_for(0, flipped, b);
-    EXPECT_NE(a, b);
-
-    // A certificate change outside the interior leaves the key unchanged.
-    std::vector<BitString> far_flip(9, "0");
-    far_flip[4] = "1"; // distance 4 > R-1 = 2 from node 0
-    const auto far = CertificateListAssignment::concatenate(
-        {CertificateAssignment(far_flip)}, 9);
-    keys.key_for(0, far, b);
-    EXPECT_EQ(a, b);
+    LabeledGraph relabeled = g;
+    relabeled.set_label(2, "0"); // distance 2 from node 0
+    EXPECT_NE(ViewKeyBuilder(verifier, relabeled, id, ExecutionOptions{})
+                  .static_prefix(0),
+              keys.static_prefix(0));
+    LabeledGraph far = g;
+    far.set_label(3, "0"); // distance 3 = R: outside the interior
+    EXPECT_EQ(ViewKeyBuilder(verifier, far, id, ExecutionOptions{})
+                  .static_prefix(0),
+              keys.static_prefix(0));
+    std::vector<BitString> ids;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ids.push_back(id(v));
+    }
+    std::swap(ids[3], ids[4]); // node 3 sits on node 0's boundary ring
+    EXPECT_NE(ViewKeyBuilder(verifier, g, IdentifierAssignment(ids),
+                             ExecutionOptions{})
+                  .static_prefix(0),
+              keys.static_prefix(0));
 }
 
 // ---------------------------------------------------------------------------
 // Cache soundness on adversarial view-collision instances.
 // ---------------------------------------------------------------------------
 
-void expect_cache_agrees(const GameSpec& spec, const LabeledGraph& g,
+void expect_table_agrees(const GameSpec& spec, const LabeledGraph& g,
                          const IdentifierAssignment& id, const std::string& what) {
     GameOptions off;
     off.threads = 1;
@@ -291,25 +187,25 @@ TEST(CacheSoundness, PeriodicIdentifiersCollideViewsWithinOneGraph) {
     const LabeledGraph even = cycle_graph(14, "1");
     const auto even_ids = make_cyclic_ids(even, 7); // locally unique: 7 >= 2*3+1
     ASSERT_TRUE(even_ids.is_locally_unique(even, verifier.id_radius()));
-    expect_cache_agrees(coloring_spec(verifier, domain), even, even_ids,
+    expect_table_agrees(coloring_spec(verifier, domain), even, even_ids,
                         "C14 period 7");
 
     // The odd (no-instance, full-exhaustion) side with cyclic identifiers.
     const LabeledGraph odd = cycle_graph(9, "1");
     const auto odd_ids = make_cyclic_ids(odd, 9);
-    expect_cache_agrees(coloring_spec(verifier, domain), odd, odd_ids,
+    expect_table_agrees(coloring_spec(verifier, domain), odd, odd_ids,
                         "C9 cyclic ids");
 }
 
 TEST(CacheSoundness, SharedCacheAcrossInstancesReusesAndStaysSound) {
-    // One external cache shared across different graphs whose local windows
+    // One external table shared across different graphs whose local windows
     // coincide: away from the wrap-around, C_14's windows repeat C_13's
     // (same 4-bit global ids, labels, degrees), so the second game re-hits
-    // entries the first inserted — and must still produce the exact
-    // cache-off verdicts (C_13 odd: reject; C_14: accept).
+    // entries the first filled — and must still produce the exact
+    // table-off verdicts (C_13 odd: reject; C_14: accept).
     const ColoringVerifier verifier(2);
     const ColorDomain domain(verifier);
-    ViewCache shared(1 << 20);
+    VerdictTable shared;
 
     const LabeledGraph odd = cycle_graph(13, "1");
     const auto odd_id = make_global_ids(odd);
@@ -327,7 +223,9 @@ TEST(CacheSoundness, SharedCacheAcrossInstancesReusesAndStaysSound) {
                                         even_id, with_shared);
     EXPECT_TRUE(second.accepted);
     EXPECT_TRUE(second.witness.has_value());
-    EXPECT_GT(second.stats.node_cache_hits, 0u) << "no cross-instance reuse";
+    EXPECT_GT(shared.stats().hits, first.stats.leaf_cache_hits)
+        << "no cross-instance reuse";
+    EXPECT_EQ(shared.stats().verdict_mismatches, 0u);
 
     // Agreement with the cache-off engine on the shared-cache instances.
     GameOptions off;
@@ -340,25 +238,28 @@ TEST(CacheSoundness, SharedCacheAcrossInstancesReusesAndStaysSound) {
                 *second.witness == *even_off.witness);
 }
 
-TEST(CacheSoundness, TinyCacheThrashesButStaysCorrect) {
-    // An adversarially small cache forces constant eviction; correctness
-    // must not depend on residency.
+TEST(CacheSoundness, TinyTableThrashesButStaysCorrect) {
+    // A table too small for even one solve's pages refuses fills and evicts
+    // on every acquire; correctness must not depend on residency.
     const ColoringVerifier verifier(2);
     const ColorDomain domain(verifier);
-    const LabeledGraph g = cycle_graph(9, "1");
-    const auto id = make_global_ids(g);
-
-    GameOptions tiny;
-    tiny.view_cache_entries = 1; // one entry per shard
+    VerdictTable tiny(64);
     GameOptions off;
     off.memoize_views = false;
-    const GameResult thrashed =
-        play_game(coloring_spec(verifier, domain), g, id, tiny);
-    const GameResult reference =
-        play_game(coloring_spec(verifier, domain), g, id, off);
-    EXPECT_EQ(thrashed.accepted, reference.accepted);
-    EXPECT_EQ(thrashed.machine_runs, reference.machine_runs);
-    EXPECT_GT(thrashed.stats.cache_evictions, 0u);
+    GameOptions on;
+    on.view_cache = &tiny;
+    for (const std::size_t n : {9, 10, 9}) {
+        const LabeledGraph g = cycle_graph(n, "1");
+        const auto id = make_global_ids(g);
+        const GameResult thrashed =
+            play_game(coloring_spec(verifier, domain), g, id, on);
+        const GameResult reference =
+            play_game(coloring_spec(verifier, domain), g, id, off);
+        EXPECT_EQ(thrashed.accepted, reference.accepted);
+        EXPECT_EQ(thrashed.machine_runs, reference.machine_runs);
+    }
+    EXPECT_GT(tiny.stats().evictions, 0u);
+    EXPECT_EQ(tiny.stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
