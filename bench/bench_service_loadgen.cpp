@@ -1,8 +1,10 @@
 // Load generator for the serving layer (src/service): replays an open-loop
 // mixed workload of wire requests against an in-process ServiceCore and
-// compares batched serving (same-graph micro-batching + cross-request memo +
-// per-machine shared view cache) against the one-engine-call-per-request
-// baseline (all three off, same worker pool).
+// compares default serving (cross-request result memo + per-machine shared
+// verdict table) against the one-engine-call-per-request baseline (both off,
+// same worker pool).  The rows keep their historical names: `batched_384` is
+// the default configuration, `unbatched_384` the baseline, and
+// `speedup_vs_unbatched` their wall-time ratio.
 //
 // The headline BENCH row reports p50/p95/p99 end-to-end latency, throughput,
 // rejection rate, and the memo / view-cache hit rates, absorbed from the
@@ -216,7 +218,6 @@ ServiceOptions batched_options() {
 ServiceOptions baseline_options() {
     ServiceOptions options = batched_options();
     options.memoize_results = false;
-    options.batch_by_graph = false;
     options.share_view_cache = false;
     return options;
 }

@@ -9,6 +9,11 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# The end-to-end benchmark's own tests: stream generators, the answer
+# checker and the planned-deletions guard (the load-client test skips
+# without a .bench_build/ from lphbench/run.py).
+python3 lphbench/test_bench.py
+
 # Smoke-run via the dispatcher from build/bench so the BENCH_<name>.json
 # reports land there (bench_main fork/execs every sibling bench_* binary).
 (cd build/bench && ./bench_main --benchmark_min_time=0.01 >/dev/null)

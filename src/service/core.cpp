@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include <unistd.h>
@@ -86,9 +87,6 @@ obs::MetricList ServiceStats::to_metrics() const {
         {"completed", static_cast<double>(completed)},
         {"errors", static_cast<double>(errors)},
         {"memo_served", static_cast<double>(memo_served)},
-        {"batches", static_cast<double>(batches)},
-        {"batched_requests", static_cast<double>(batched_requests)},
-        {"avg_batch", avg_batch()},
         {"expired_in_queue", static_cast<double>(expired_in_queue)},
         {"queue_depth", static_cast<double>(queue_depth)},
         {"max_queue_depth", static_cast<double>(max_queue_depth)},
@@ -107,51 +105,6 @@ obs::MetricList ServiceStats::to_metrics() const {
         {"admission.big_queue_depth", static_cast<double>(big_queue_depth)},
     };
 }
-
-/// Per-batch shared preparation: when a micro-batch of same-graph requests
-/// is drained, the first request of each (machine, layers) flavor pays for
-/// the built game, the identifier assignment, and the certificate option
-/// tables; the rest of the batch reuses them.
-struct ServiceCore::BatchContext {
-    std::map<std::string, BuiltGame> games;
-    std::map<std::string, IdentifierAssignment> ids;
-    std::map<std::string, GameTables> tables;
-
-    BuiltGame& game(const std::string& machine, int layers, bool sigma) {
-        const std::string key = machine + '|' + std::to_string(layers) + '|' +
-                                (sigma ? '1' : '0');
-        auto it = games.find(key);
-        if (it == games.end()) {
-            it = games.emplace(key, build_game(machine, layers, sigma)).first;
-        }
-        return it->second;
-    }
-
-    IdentifierAssignment& id_for(const std::string& scheme, int r_id,
-                                 const LabeledGraph& g) {
-        const std::string key = scheme + '|' + std::to_string(r_id);
-        auto it = ids.find(key);
-        if (it == ids.end()) {
-            it = ids.emplace(key, identifier_scheme_by_name(scheme, g, r_id))
-                     .first;
-        }
-        return it->second;
-    }
-
-    GameTables& tables_for(const std::string& machine, int layers,
-                           const std::string& scheme, const GameSpec& spec,
-                           const LabeledGraph& g,
-                           const IdentifierAssignment& id) {
-        // Tables are sigma-independent (only layer count and domains matter).
-        const std::string key =
-            machine + '|' + std::to_string(layers) + '|' + scheme;
-        auto it = tables.find(key);
-        if (it == tables.end()) {
-            it = tables.emplace(key, GameTables(spec, g, id)).first;
-        }
-        return it->second;
-    }
-};
 
 ServiceCore::ServiceCore(ServiceOptions options)
     : options_(options),
@@ -274,15 +227,12 @@ std::future<Response> ServiceCore::submit(Request request) {
             reject_detail = "queue at capacity " +
                             std::to_string(options_.queue_capacity);
         } else {
-            Pending pending;
-            pending.digest = request.graph_digest();
-            pending.request = std::move(request);
-            pending.promise = std::move(promise);
-            pending.enqueued = std::chrono::steady_clock::now();
-            target.push_back(std::move(pending));
+            target.push_back({std::move(request), std::move(promise),
+                              std::chrono::steady_clock::now()});
             submitted_.fetch_add(1, std::memory_order_relaxed);
-            const std::uint64_t depth = queue_.size();
-            if (depth > max_queue_depth_.load(std::memory_order_relaxed)) {
+            const std::uint64_t depth = target.size();
+            if (!big &&
+                depth > max_queue_depth_.load(std::memory_order_relaxed)) {
                 max_queue_depth_.store(depth, std::memory_order_relaxed);
             }
             obs::Tracer::instance().instant("service", "service.enqueue",
@@ -319,20 +269,17 @@ void ServiceCore::note_protocol_error() {
 }
 
 bool ServiceCore::drain_some() {
-    std::vector<Pending> batch;
-    {
-        const std::lock_guard<std::mutex> lock(queue_mutex_);
-        // Interactive first: the manual pump honors the same priority the
-        // dedicated worker pools give a live deployment.
-        if (!queue_.empty()) {
-            batch = take_batch_locked(queue_);
-        } else if (!big_queue_.empty()) {
-            batch = take_batch_locked(big_queue_);
-        } else {
-            return false;
-        }
+    std::unique_lock<std::mutex> lock(queue_mutex_);
+    // Interactive first: the manual pump honors the same priority the
+    // dedicated worker pools give a live deployment.
+    std::deque<Pending>& from = !queue_.empty() ? queue_ : big_queue_;
+    if (from.empty()) {
+        return false;
     }
-    process_batch(std::move(batch));
+    Pending pending = std::move(from.front());
+    from.pop_front();
+    lock.unlock();
+    serve_one(pending, std::chrono::steady_clock::now());
     return true;
 }
 
@@ -345,151 +292,58 @@ void ServiceCore::worker_loop(bool big) {
     std::deque<Pending>& my_queue = big ? big_queue_ : queue_;
     std::condition_variable& my_cv = big ? big_cv_ : queue_cv_;
     for (;;) {
-        std::vector<Pending> batch;
-        {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            my_cv.wait(lock,
-                       [&] { return stopping_ || !my_queue.empty(); });
-            if (my_queue.empty()) {
-                return; // stopping, queue fully drained
-            }
-            batch = take_batch_locked(my_queue);
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        my_cv.wait(lock, [&] { return stopping_ || !my_queue.empty(); });
+        if (my_queue.empty()) {
+            return; // stopping, queue fully drained
         }
-        process_batch(std::move(batch));
+        Pending pending = std::move(my_queue.front());
+        my_queue.pop_front();
+        lock.unlock();
+        serve_one(pending, std::chrono::steady_clock::now());
     }
 }
 
-std::vector<ServiceCore::Pending>
-ServiceCore::take_batch_locked(std::deque<Pending>& from) {
-    std::vector<Pending> batch;
-    batch.push_back(std::move(from.front()));
-    from.pop_front();
-    if (options_.batch_by_graph && batch.front().request.has_graph) {
-        const std::uint64_t digest = batch.front().digest;
-        for (auto it = from.begin();
-             it != from.end() && batch.size() < options_.max_batch;) {
-            if (it->request.has_graph && it->digest == digest) {
-                batch.push_back(std::move(*it));
-                it = from.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    return batch;
-}
-
-void ServiceCore::process_batch(std::vector<Pending> batch) {
-    LPH_SPAN_NAMED(span, "service", "service.batch");
-    span.arg("requests", batch.size());
-    const auto batch_start = std::chrono::steady_clock::now();
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    BatchContext ctx;
-    std::uint64_t served = 0;
-    for (Pending& pending : batch) {
-        if (serve_one(pending, ctx, batch.size(), batch_start)) {
-            ++served;
-        }
-    }
-    // Only requests that were actually served count toward the batch-size
-    // averages; requests that expired while queued never reached the engine.
-    batched_requests_.fetch_add(served, std::memory_order_relaxed);
-}
-
-bool ServiceCore::serve_one(Pending& pending, BatchContext& ctx,
-                            std::size_t batch_size,
-                            std::chrono::steady_clock::time_point batch_start) {
+void ServiceCore::serve_one(Pending& pending,
+                            std::chrono::steady_clock::time_point dequeued) {
     LPH_SPAN_NAMED(span, "service", "service.request");
-    Request& request = pending.request;
+    const Request& request = pending.request;
     const auto start = std::chrono::steady_clock::now();
 
     Response response;
     response.id = request.id;
     response.type = request.type;
-    response.batch = batch_size;
 
     const double waited_ms = ms_between(pending.enqueued, start);
     const double deadline_ms = request.deadline_ms > 0
                                    ? request.deadline_ms
                                    : options_.default_deadline_ms;
-
-    // Resolve a resident-graph reference before anything else: the memo key
-    // embeds the graph digest, so an unresolved reference must never reach
-    // the memo, and a fire-and-forget patch chain must observe every earlier
-    // patch (resolution happens at serve time, never at submit).
-    bool unresolved_ref = false;
-    if (request.has_ref_digest && !request.has_graph &&
-        request.type != RequestType::GraphPatch) {
-        unresolved_ref = !resolve_graph_ref(request);
-    }
-
-    const std::string memo_key = options_.memoize_results && !unresolved_ref
-                                     ? request.memo_key()
-                                     : std::string{};
-
-    bool served = false;
-    bool expired = false;
-    if (!memo_key.empty()) {
-        if (auto hit = memo_.lookup(memo_key)) {
-            response.body = std::move(*hit);
-            response.memo_hit = true;
-            memo_served_.fetch_add(1, std::memory_order_relaxed);
-            served = true;
-        }
-    }
-    if (!served) {
-        if (unresolved_ref) {
-            response.status = "error";
-            response.error = "UnknownGraph";
-            response.detail = "no resident graph with digest " +
-                              std::to_string(request.ref_digest) +
-                              " (register it, or follow the digest echoed by "
-                              "the latest patch)";
-        } else if (deadline_ms > 0 && waited_ms >= deadline_ms) {
-            expired = true;
-            response.status = "error";
-            response.error = to_string(RunError::DeadlineExceeded);
-            response.detail = "deadline of " + render_ms(deadline_ms) +
-                              " ms expired after " + render_ms(waited_ms) +
-                              " ms in queue";
-        } else {
-            const double remaining_ms =
-                deadline_ms > 0 ? deadline_ms - waited_ms : 0;
-            try {
-                response.body = execute(request, ctx, remaining_ms);
-                // A tolerate_faults run under a deadline can score leaves as
-                // losses depending on wall-clock — a time-dependent body must
-                // never be replayed to other clients.
-                const bool time_dependent =
-                    request.tolerate_faults && deadline_ms > 0;
-                if (!memo_key.empty() && !time_dependent) {
-                    memo_.insert(memo_key, response.body);
-                }
-            } catch (const run_error& e) {
-                response.status = "error";
-                response.error = to_string(e.code());
-                response.detail = e.what();
-            } catch (const precondition_error& e) {
-                response.status = "error";
-                response.error = "InvalidRequest";
-                response.detail = e.what();
-            } catch (const std::exception& e) {
-                response.status = "error";
-                response.error = "InternalError";
-                response.detail = e.what();
-            }
-        }
+    // Expiry comes first, so an expired request fails the same way whether
+    // or not the memo happens to hold its answer.
+    const bool expired = deadline_ms > 0 && waited_ms >= deadline_ms;
+    if (expired) {
+        response.status = "error";
+        response.error = to_string(RunError::DeadlineExceeded);
+        response.detail = "deadline of " + render_ms(deadline_ms) +
+                          " ms expired after " + render_ms(waited_ms) +
+                          " ms in queue";
+    } else {
+        answer(request, deadline_ms > 0 ? deadline_ms - waited_ms : 0,
+               options_.memoize_results, response);
     }
 
     const auto end = std::chrono::steady_clock::now();
     const double exec_ms = ms_between(start, end);
     if (expired) {
         // The request never reached the engine: it is an error, but it must
-        // not count as served work (busy time, batch sizes).
+        // not count as served work (busy time).
         expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
     } else {
         busy_us_.fetch_add(static_cast<std::uint64_t>(exec_ms * 1000.0),
                            std::memory_order_relaxed);
+    }
+    if (response.memo_hit) {
+        memo_served_.fetch_add(1, std::memory_order_relaxed);
     }
     if (response.status == "ok") {
         completed_.fetch_add(1, std::memory_order_relaxed);
@@ -498,13 +352,66 @@ bool ServiceCore::serve_one(Pending& pending, BatchContext& ctx,
     }
     span.arg("memo_hit", response.memo_hit ? 1 : 0);
     span.arg("ok", response.status == "ok" ? 1 : 0);
-    // Stage split: queue covers submit -> batch formation, batch covers the
-    // shared prep plus this request's intra-batch wait, exec is its own turn.
+    // Stage split: queue covers submit -> dequeue, batch the gap from
+    // dequeue to this request's start, exec its own turn.
     finish_timing(response, request,
-                  std::max(0.0, ms_between(pending.enqueued, batch_start)),
-                  std::max(0.0, ms_between(batch_start, start)), exec_ms, end);
+                  std::max(0.0, ms_between(pending.enqueued, dequeued)),
+                  std::max(0.0, ms_between(dequeued, start)), exec_ms, end);
     pending.promise.set_value(std::move(response));
-    return !expired;
+}
+
+void ServiceCore::answer(const Request& request, double deadline_ms,
+                         bool memoize, Response& response) {
+    // Resolve a resident-graph reference before anything else: the memo key
+    // embeds the graph digest, so an unresolved reference must never reach
+    // the memo, and a fire-and-forget patch chain must observe every earlier
+    // patch (resolution happens at serve time, never at submit).  Only a
+    // reference is copied, and it carries no graph payload.
+    std::optional<Request> resolved;
+    if (request.has_ref_digest && !request.has_graph &&
+        request.type != RequestType::GraphPatch) {
+        resolved = request;
+        if (!resolve_graph_ref(*resolved)) {
+            response.status = "error";
+            response.error = "UnknownGraph";
+            response.detail = "no resident graph with digest " +
+                              std::to_string(request.ref_digest) +
+                              " (register it, or follow the digest echoed "
+                              "by the latest patch)";
+            return;
+        }
+    }
+    const Request& effective = resolved ? *resolved : request;
+    const std::string memo_key = memoize ? effective.memo_key() : std::string{};
+    if (!memo_key.empty()) {
+        if (auto hit = memo_.lookup(memo_key)) {
+            response.body = std::move(*hit);
+            response.memo_hit = true;
+            return;
+        }
+    }
+    try {
+        response.body = execute(effective, deadline_ms);
+        // A tolerate_faults run under a deadline can score leaves as losses
+        // depending on wall-clock — a time-dependent body must never be
+        // replayed to other clients.
+        const bool time_dependent = request.tolerate_faults && deadline_ms > 0;
+        if (!memo_key.empty() && !time_dependent) {
+            memo_.insert(memo_key, response.body);
+        }
+    } catch (const run_error& e) {
+        response.status = "error";
+        response.error = to_string(e.code());
+        response.detail = e.what();
+    } catch (const precondition_error& e) {
+        response.status = "error";
+        response.error = "InvalidRequest";
+        response.detail = e.what();
+    } catch (const std::exception& e) {
+        response.status = "error";
+        response.error = "InternalError";
+        response.detail = e.what();
+    }
 }
 
 void ServiceCore::finish_timing(
@@ -578,8 +485,7 @@ bool ServiceCore::resolve_graph_ref(Request& request) {
     return true;
 }
 
-std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
-                                 double deadline_ms) {
+std::string ServiceCore::execute(const Request& request, double deadline_ms) {
     std::ostringstream body;
     switch (request.type) {
     case RequestType::Game: {
@@ -589,14 +495,11 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         // depending on view-cache warmth and certificate-domain shape — the
         // answer to one request must never depend on who asked before.
         request.graph.validate();
-        BuiltGame& game = ctx.game(request.machine, request.layers,
-                                   request.sigma);
-        const int r_id = game.spec.machine->id_radius();
-        const IdentifierAssignment& id =
-            ctx.id_for(request.ids, r_id, request.graph);
-        const GameTables& tables =
-            ctx.tables_for(request.machine, request.layers, request.ids,
-                           game.spec, request.graph, id);
+        const BuiltGame game =
+            build_game(request.machine, request.layers, request.sigma);
+        const IdentifierAssignment id = identifier_scheme_by_name(
+            request.ids, request.graph, game.spec.machine->id_radius());
+        const GameTables tables(game.spec, request.graph, id);
 
         GameOptions opt;
         opt.threads = 1; // the service parallelizes across requests
@@ -712,21 +615,21 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         break;
     }
     case RequestType::GraphPatch:
-        return execute_patch(request, ctx, deadline_ms);
+        return execute_patch(request, deadline_ms);
     }
     return body.str();
 }
 
 std::string ServiceCore::execute_patch(const Request& request,
-                                       BatchContext& ctx, double deadline_ms) {
+                                       double deadline_ms) {
     const bool has_query = !request.machine.empty();
     int radius = 1;
     int r_id = 1;
-    BuiltGame* game = nullptr;
+    BuiltGame game;
     if (has_query) {
-        game = &ctx.game(request.machine, request.layers, request.sigma);
-        r_id = game->spec.machine->id_radius();
-        radius = view_radius(*game->spec.machine, ExecutionOptions{});
+        game = build_game(request.machine, request.layers, request.sigma);
+        r_id = game.spec.machine->id_radius();
+        radius = view_radius(*game.spec.machine, ExecutionOptions{});
     }
     const std::string flavor = has_query && request.layers == 0
                                    ? decider_flavor(request)
@@ -767,7 +670,7 @@ std::string ServiceCore::execute_patch(const Request& request,
     outcome.graph.validate();
     body << ',';
     if (request.layers == 0) {
-        body << evaluate_patch_decider(request, *game, outcome, deadline_ms);
+        body << evaluate_patch_decider(request, game, outcome, deadline_ms);
         return body.str();
     }
 
@@ -777,7 +680,7 @@ std::string ServiceCore::execute_patch(const Request& request,
     // answered from the table.
     const IdentifierAssignment id =
         identifier_scheme_by_name(request.ids, outcome.graph, r_id);
-    const GameTables tables(game->spec, outcome.graph, id);
+    const GameTables tables(game.spec, outcome.graph, id);
     GameOptions opt;
     opt.threads = 1;
     opt.obs = options_.obs;
@@ -786,7 +689,7 @@ std::string ServiceCore::execute_patch(const Request& request,
         opt.view_cache = table_for(request.machine);
     }
     const GameResult result =
-        play_game(game->spec, tables, outcome.graph, id, opt);
+        play_game(game.spec, tables, outcome.graph, id, opt);
     if (!result.probe_faults.empty()) {
         throw run_error(result.probe_faults.front());
     }
@@ -952,48 +855,16 @@ std::string ServiceCore::render_health_body() {
 }
 
 Response ServiceCore::serve_unbatched(const Request& request) {
-    BatchContext ctx;
     const auto start = std::chrono::steady_clock::now();
     Response response;
     response.id = request.id;
     response.type = request.type;
-    const double deadline_ms = request.deadline_ms > 0
-                                   ? request.deadline_ms
-                                   : options_.default_deadline_ms;
-    Request resolved;
-    const Request* effective = &request;
-    if (request.has_ref_digest && !request.has_graph &&
-        request.type != RequestType::GraphPatch) {
-        resolved = request;
-        if (!resolve_graph_ref(resolved)) {
-            response.status = "error";
-            response.error = "UnknownGraph";
-            response.detail = "no resident graph with digest " +
-                              std::to_string(request.ref_digest);
-            const auto end = std::chrono::steady_clock::now();
-            finish_timing(response, request, 0.0, 0.0, ms_between(start, end),
-                          end);
-            return response;
-        }
-        effective = &resolved;
-    }
-    try {
-        response.body = execute(*effective, ctx, deadline_ms);
-    } catch (const run_error& e) {
-        response.status = "error";
-        response.error = to_string(e.code());
-        response.detail = e.what();
-    } catch (const precondition_error& e) {
-        response.status = "error";
-        response.error = "InvalidRequest";
-        response.detail = e.what();
-    } catch (const std::exception& e) {
-        response.status = "error";
-        response.error = "InternalError";
-        response.detail = e.what();
-    }
+    answer(request,
+           request.deadline_ms > 0 ? request.deadline_ms
+                                   : options_.default_deadline_ms,
+           /*memoize=*/false, response);
     const auto end = std::chrono::steady_clock::now();
-    // No queue or batch stage on the inline path; exec is the whole turn.
+    // No queue stage on the inline path; exec is the whole turn.
     finish_timing(response, request, 0.0, 0.0, ms_between(start, end), end);
     return response;
 }
@@ -1011,8 +882,6 @@ ServiceStats ServiceCore::stats() const {
     s.completed = completed_.load(std::memory_order_relaxed);
     s.errors = errors_.load(std::memory_order_relaxed);
     s.memo_served = memo_served_.load(std::memory_order_relaxed);
-    s.batches = batches_.load(std::memory_order_relaxed);
-    s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
     s.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
     s.graphs_resident = graphs_.size();
     s.patches_applied = patches_applied_.load(std::memory_order_relaxed);

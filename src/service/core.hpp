@@ -50,25 +50,20 @@ struct ServiceOptions {
 
     std::size_t memo_entries = 1 << 12;
 
-    /// Upper bound on one micro-batch (requests sharing a graph digest that
-    /// one worker drains together).
-    std::size_t max_batch = 32;
-
     /// Server-side cap on oracle_check corpus sizes.
     std::size_t max_oracle_instances = 200;
 
     WireLimits wire;
 
-    /// The three serving optimizations, individually toggleable so the load
-    /// generator can measure each against the one-engine-call-per-request
-    /// baseline (all three off).  share_view_cache shares one verdict table
-    /// per machine across requests; off, every game gets a private table.
+    /// The two cross-request reuses, toggleable so the load generator and the
+    /// reference cores can measure or check against one engine call per
+    /// request (both off).  share_view_cache shares one verdict table per
+    /// machine across requests; off, every game gets a private table.
     bool memoize_results = true;
-    bool batch_by_graph = true;
     bool share_view_cache = true;
 
     /// Test/bench mode: no worker threads are spawned; callers pump the
-    /// queue with drain_some()/drain().  Makes queue-full and batching
+    /// queue with drain_some()/drain().  Makes queue-full and drain-order
     /// behavior deterministic.
     bool manual_drain = false;
 
@@ -112,15 +107,13 @@ struct ServiceStats {
     std::uint64_t completed = 0;   ///< responses with status "ok"
     std::uint64_t errors = 0;      ///< responses with status "error"
     std::uint64_t memo_served = 0; ///< completed straight from the result memo
-    std::uint64_t batches = 0;     ///< micro-batches drained
-    std::uint64_t batched_requests = 0; ///< requests inside those batches
     /// Requests whose deadline expired while still queued.  They error with
     /// DeadlineExceeded but never reach the engine, so they are excluded from
-    /// batched_requests and busy_ms (they would otherwise inflate avg_batch
-    /// and the busy/throughput ratios the loadgen reports).
+    /// busy_ms (they would otherwise inflate the busy/throughput ratios the
+    /// loadgen reports).
     std::uint64_t expired_in_queue = 0;
-    std::uint64_t queue_depth = 0;     ///< at snapshot time
-    std::uint64_t max_queue_depth = 0; ///< high-water mark
+    std::uint64_t queue_depth = 0;     ///< interactive queue, at snapshot time
+    std::uint64_t max_queue_depth = 0; ///< interactive queue high-water mark
     double busy_ms = 0;  ///< summed per-request service time
     unsigned workers = 0;
 
@@ -145,23 +138,16 @@ struct ServiceStats {
                    : 0.0;
     }
 
-    double avg_batch() const {
-        return batches > 0
-                   ? static_cast<double>(batched_requests) /
-                         static_cast<double>(batches)
-                   : 0.0;
-    }
-
     /// Metric list (unprefixed names: submitted, rejected, ...); ServiceCore
     /// absorbs it under `service.` so the loadgen BENCH rows and `--metrics=`
     /// JSON share one schema with the engine rows.
     obs::MetricList to_metrics() const;
 };
 
-/// The batched query-serving core: a bounded MPMC request queue, a worker
-/// pool, per-request deadline propagation, micro-batching of requests that
-/// share a graph, a per-machine shared verdict table, and a cross-request
-/// result memo keyed by (instance digest, query).
+/// The query-serving core: a bounded MPMC request queue whose workers serve
+/// one request per dequeue, per-request deadline propagation, a per-machine
+/// shared verdict table, and a cross-request result memo keyed by (instance
+/// digest, query).
 ///
 /// Transports (service/server.hpp) parse wire lines into Requests and submit
 /// them; the core never touches sockets or streams.
@@ -185,8 +171,8 @@ public:
     /// Transport-side accounting for lines that never parsed into a Request.
     void note_protocol_error();
 
-    /// Manual drain (manual_drain mode, or extra pump threads): processes
-    /// one micro-batch; false when the queue was empty.
+    /// Manual drain (manual_drain mode, or extra pump threads): serves one
+    /// request, interactive queue first; false when both queues were empty.
     bool drain_some();
 
     /// Drains until the queue is empty.
@@ -223,9 +209,10 @@ public:
 
     const ServiceOptions& options() const { return options_; }
 
-    /// Renders one response body for `request` executed inline, bypassing
-    /// queue/memo/batching — the loadgen's "one engine call per request"
-    /// baseline helper and the stats/health renderer.
+    /// Answers `request` inline, bypassing the queue and the memo, with the
+    /// same bodies and structured errors as the queued path — the loadgen's
+    /// "one engine call per request" baseline, the reference answers of the
+    /// differential checks, and the stats/health renderer.
     Response serve_unbatched(const Request& request);
 
 private:
@@ -233,38 +220,36 @@ private:
         Request request;
         std::promise<Response> promise;
         std::chrono::steady_clock::time_point enqueued;
-        std::uint64_t digest = 0;
     };
-
-    struct BatchContext; // per-batch shared graph preparation
 
     /// Drains the interactive queue (big = false) or the big-job queue
     /// (big = true); one body, two queues, so admitted and deferred work get
     /// identical serving semantics and differ only in worker budget.
     void worker_loop(bool big);
-    std::vector<Pending> take_batch_locked(std::deque<Pending>& from);
     /// Prices one workload request against the cost model; Admit-everything
     /// when admission is disabled or the type is control-plane.
     admission::Decision admission_decision(const Request& request);
-    void process_batch(std::vector<Pending> batch);
-    /// Serves one request.  Returns false when the request expired in the
-    /// queue (it then counts toward expired_in_queue, not batched_requests
-    /// or busy time).  `batch_start` anchors the queue/batch stage split of
-    /// the response's timing object.
-    bool serve_one(Pending& pending, BatchContext& ctx, std::size_t batch_size,
-                   std::chrono::steady_clock::time_point batch_start);
+    /// Serves one dequeued request: queue expiry, then answer() with the
+    /// memo, then the counters.  `dequeued` anchors the queue stage of the
+    /// response's timing object.
+    void serve_one(Pending& pending,
+                   std::chrono::steady_clock::time_point dequeued);
+    /// The one answer path behind serve_one and serve_unbatched: resolves a
+    /// "digest" reference (UnknownGraph when it names no resident graph),
+    /// answers from the result memo when `memoize` is set, otherwise runs
+    /// execute and maps run_error / precondition_error / any other exception
+    /// to a structured error on `response`.
+    void answer(const Request& request, double deadline_ms, bool memoize,
+                Response& response);
     /// Copies the resident graph a "digest" reference names into `request`;
-    /// false when the digest does not resolve (the caller reports
-    /// UnknownGraph).
+    /// false when the digest does not resolve.
     bool resolve_graph_ref(Request& request);
     /// Executes the request and renders the response body; throws on failure.
-    std::string execute(const Request& request, BatchContext& ctx,
-                        double deadline_ms);
+    std::string execute(const Request& request, double deadline_ms);
     /// graph_patch: mutates the resident graph, invalidates stale memo
     /// entries, and re-evaluates the optional machine query over the dirty
     /// region (DESIGN.md "Incremental serving").
-    std::string execute_patch(const Request& request, BatchContext& ctx,
-                              double deadline_ms);
+    std::string execute_patch(const Request& request, double deadline_ms);
     /// The layers-0 fast path: merges retained per-node verdicts with
     /// induced-ball reruns of the dirty nodes; falls back to one full
     /// run_local when retention is unavailable or any ball run is unclean.
@@ -322,8 +307,6 @@ private:
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> errors_{0};
     std::atomic<std::uint64_t> memo_served_{0};
-    std::atomic<std::uint64_t> batches_{0};
-    std::atomic<std::uint64_t> batched_requests_{0};
     std::atomic<std::uint64_t> expired_in_queue_{0};
     std::atomic<std::uint64_t> patches_applied_{0};
     std::atomic<std::uint64_t> patch_incremental_{0};

@@ -51,8 +51,8 @@ struct ClusterView {
 
 /// Merges worker snapshots (deduplicated by pid, last one wins) into a
 /// cluster view.  Every metric is summed — ratio metrics (hit_rate,
-/// avg_batch) must be recomputed from the summed numerators/denominators by
-/// the consumer, not read from summed_metrics.
+/// dirty_fraction) must be recomputed from the summed numerators and
+/// denominators by the consumer, not read from summed_metrics.
 ClusterView merge_workers(std::vector<WorkerSnapshot> snapshots);
 
 } // namespace service

@@ -22,7 +22,7 @@ namespace service {
 namespace {
 
 /// Emits responses in request order as their futures resolve, on its own
-/// thread so the reader can keep submitting (and the core keep batching)
+/// thread so the reader can keep submitting (and the workers keep serving)
 /// while earlier requests are still in flight.
 class ResponseWriter {
 public:

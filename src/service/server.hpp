@@ -26,7 +26,7 @@ struct ServeReport {
 
 /// Runs the line protocol over a stream pair until EOF on `in` — the
 /// `lphd --pipe` transport.  Requests are submitted to the core as they are
-/// read (so micro-batching sees the whole pipelined window) while a writer
+/// read (so the workers see the whole pipelined window) while a writer
 /// thread emits responses in request order; a malformed line produces an
 /// immediate ProtocolError response and the stream stays usable.
 ServeReport serve_stream(ServiceCore& core, std::istream& in, std::ostream& out);

@@ -175,8 +175,8 @@ Request parse_request(const std::string& line, std::size_t line_number,
 /// "timing" object (all stages in whole microseconds):
 ///
 ///   queue_us  submit -> dequeue (bounded-queue wait, deadline-eligible)
-///   batch_us  batch formation start -> this request's turn (shared prep +
-///             intra-batch wait; 0 on unbatched paths)
+///   batch_us  dequeue -> this request's start (each dequeue serves one
+///             request; 0 on the inline serve_unbatched path)
 ///   exec_us   engine/memo execution for this request
 ///   write_us  response materialization after execute (memo insert + body
 ///             bookkeeping) — socket transmission is only visible to the
@@ -185,7 +185,8 @@ Request parse_request(const std::string& line, std::size_t line_number,
 /// The identity fields let an aggregator attribute the sample to a worker:
 /// worker_pid is the serving process, generation its supervisor restart
 /// count.  memo_hit/batch_size mirror the envelope so the timing object is
-/// self-contained for clients that only parse it.
+/// self-contained for clients that only parse it; batch_size, like the
+/// envelope's `batch`, is always 1.
 struct ResponseTiming {
     bool present = false;
     std::uint64_t queue_us = 0;
@@ -203,9 +204,9 @@ struct ResponseTiming {
 /// One wire response: a single JSON line.
 ///
 ///   {"id":7,"status":"ok","type":"game","accepted":true,...,
-///    "memo":"miss","batch":3,
+///    "memo":"miss","batch":1,
 ///    "timing":{"queue_us":12,"batch_us":3,"exec_us":410,"write_us":2,
-///     "memo_hit":false,"batch_size":3,"worker_pid":4242,"generation":1}}
+///     "memo_hit":false,"batch_size":1,"worker_pid":4242,"generation":1}}
 ///   {"status":"error","error":"DeadlineExceeded","detail":"..."}
 ///   {"status":"rejected","error":"QueueFull","detail":"..."}
 struct Response {
@@ -219,7 +220,7 @@ struct Response {
     /// empty for errors.  This fragment is what the result memo stores.
     std::string body;
     bool memo_hit = false;
-    std::size_t batch = 1;   ///< requests served by this request's batch
+    std::size_t batch = 1;   ///< requests served per dequeue: always 1
     std::string trace_id;    ///< echoed request trace id token, "" absent
     ResponseTiming timing;   ///< stage breakdown, rendered when present
 
@@ -270,7 +271,8 @@ struct TimingView {
 
 std::optional<TimingView> parse_timing(const std::string& line);
 
-/// FNV-1a 64-bit digest (the memo and batch grouping key hash).
+/// FNV-1a 64-bit digest (graph digests, which key the memo and GraphStore,
+/// and snapshot checksums).
 std::uint64_t fnv1a64(const std::string& data);
 
 } // namespace service

@@ -5,6 +5,8 @@
 // their own queue so interactive requests are served first, and the
 // admission counters flowing through ServiceStats.
 
+#include "obs/session.hpp"
+#include "obs/trace.hpp"
 #include "service/admission/admission.hpp"
 #include "service/admission/cost_model.hpp"
 #include "service/core.hpp"
@@ -188,6 +190,42 @@ TEST(AdmissionCore, DeferredJobsWaitBehindInteractiveOnes) {
     EXPECT_EQ(big.get().status, "ok");
     EXPECT_EQ(core.stats().big_queue_depth, 0u);
     core.stop();
+}
+
+TEST(AdmissionCore, EnqueueDepthIsTheDepthOfTheQueueEntered) {
+    // The service.enqueue instant carries the depth of the queue the request
+    // entered; max_queue_depth stays the interactive queue's high-water mark.
+    obs::Session::Options traced;
+    traced.tracing = true;
+    obs::Session session(traced);
+    ServiceOptions options = admission_options();
+    options.admission.defer_cost_us = 1e5;
+    options.admission.max_cost_us = 1e18;
+    ServiceCore core(options);
+
+    const std::string big = "exists a. exists b. exists c. exists d. a = b";
+    std::vector<std::future<Response>> futures;
+    futures.push_back(core.submit(eval_request(big, "big1")));
+    futures.push_back(core.submit(eval_request(big, "big2")));
+    futures.push_back(core.submit(eval_request("exists x. O1(x)", "small")));
+    ASSERT_EQ(core.stats().admission_deferred, 2u);
+
+    std::vector<std::uint64_t> depths;
+    for (const auto& track : obs::Tracer::instance().snapshot()) {
+        for (const obs::SpanRecord& span : track.spans) {
+            if (std::string(span.name) == "service.enqueue") {
+                depths.push_back(span.arg);
+            }
+        }
+    }
+    EXPECT_EQ(depths, (std::vector<std::uint64_t>{1, 2, 1}));
+    EXPECT_EQ(core.stats().max_queue_depth, 1u);
+
+    core.drain();
+    for (std::future<Response>& f : futures) {
+        const Response response = f.get();
+        EXPECT_EQ(response.status, "ok") << response.detail;
+    }
 }
 
 TEST(AdmissionCore, BigJobPoolIsolatesInteractiveTrafficUnderLoad) {

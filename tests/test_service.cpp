@@ -540,32 +540,41 @@ TEST(ServiceCore, InjectedFaultsAreStructuredUnderTolerateFaults) {
     EXPECT_EQ(escalated.error, "NodeCrashed");
 }
 
-TEST(ServiceCore, BatchesSameGraphRequests) {
-    ServiceOptions options = manual_options();
-    options.memoize_results = false; // count batches, not memo hits
-    ServiceCore core(options);
-
+TEST(ServiceCore, EachDequeueServesExactlyOneRequest) {
+    // Four requests on one graph (two memo keys) around one on another graph:
+    // every drain serves exactly one request, in FIFO order, and repeats of
+    // a memo key already served are memo hits.
+    ServiceCore core(manual_options());
     std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 4; ++i) {
-        futures.push_back(
-            core.submit(decide_request("eulerian", std::to_string(i))));
-    }
+    futures.push_back(core.submit(decide_request("eulerian", "0")));
+    futures.push_back(core.submit(decide_request("coloring", "1")));
     futures.push_back(core.submit(parse_request(
         "{\"type\":\"decide\",\"problem\":\"eulerian\","
         "\"graph\":\"graph 3\\nedge 0 1\\nedge 1 2\\nedge 0 2\\n\"}",
         1, WireLimits{})));
+    futures.push_back(core.submit(decide_request("eulerian", "3")));
+    futures.push_back(core.submit(decide_request("coloring", "4")));
+    ASSERT_EQ(core.queue_depth(), 5u);
 
-    // First drain takes the four same-digest requests as one batch; the
-    // odd-graph request is left for the second drain.
-    EXPECT_TRUE(core.drain_some());
-    EXPECT_EQ(core.queue_depth(), 1u);
-    EXPECT_TRUE(core.drain_some());
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(futures[i].get().batch, 4u);
+    for (const std::size_t depth : {4u, 3u, 2u, 1u, 0u}) {
+        ASSERT_TRUE(core.drain_some());
+        EXPECT_EQ(core.queue_depth(), depth);
     }
-    EXPECT_EQ(futures[4].get().batch, 1u);
-    EXPECT_EQ(core.stats().batches, 2u);
-    EXPECT_EQ(core.stats().batched_requests, 5u);
+    EXPECT_FALSE(core.drain_some());
+
+    const std::vector<bool> memo_hit = {false, false, false, true, true};
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        const Response response = futures[i].get();
+        EXPECT_EQ(response.status, "ok") << response.detail;
+        EXPECT_EQ(response.batch, 1u) << "request " << i;
+        EXPECT_EQ(response.memo_hit, memo_hit[i]) << "request " << i;
+        const std::optional<TimingView> timing =
+            parse_timing(response.to_json());
+        ASSERT_TRUE(timing.has_value());
+        EXPECT_EQ(timing->batch_size, 1u);
+    }
+    EXPECT_EQ(core.stats().completed, 5u);
+    EXPECT_EQ(core.stats().memo_served, 2u);
 }
 
 TEST(ServiceCore, WorkerPoolServesConcurrentSubmissions) {
@@ -884,15 +893,18 @@ TEST(ServiceCore, GraphRegisterIsIdempotentAndServesDigestReferences) {
     EXPECT_EQ(unknown.error, "UnknownGraph");
 }
 
-TEST(ServiceCore, ExpiredInQueueRequestsAreNotBatchAccounted) {
-    // Regression: requests whose deadline expired while queued used to count
-    // toward batched_requests and busy time, skewing avg_batch and the
-    // busy/throughput ratios the loadgen reports.  They error, they count in
-    // the dedicated gauge, and the batch accounting only sees served work.
+TEST(ServiceCore, ExpiredInQueueRequestsAreNotBusyTime) {
+    // Requests whose deadline expired while queued error and count in the
+    // dedicated gauge, but never reach the engine, so they add nothing to
+    // busy time (which would skew the busy/throughput ratios the loadgen
+    // reports).  Expiry wins over a memo that holds the answer, so the
+    // error does not depend on who asked before.
     obs::Session session;
     ServiceOptions options = manual_options();
     options.obs = &session;
     ServiceCore core(options);
+    ASSERT_EQ(core.call(decide_request("eulerian", "warm")).status, "ok");
+    const double busy_before = core.stats().busy_ms;
 
     Request e1 = decide_request("eulerian", "e1");
     Request e2 = decide_request("eulerian", "e2");
@@ -900,23 +912,18 @@ TEST(ServiceCore, ExpiredInQueueRequestsAreNotBatchAccounted) {
     e2.deadline_ms = 0.01;
     auto f1 = core.submit(std::move(e1));
     auto f2 = core.submit(std::move(e2));
-    auto f3 = core.submit(decide_request("eulerian", "live"));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     core.drain();
 
     EXPECT_EQ(f1.get().error, "DeadlineExceeded");
     EXPECT_EQ(f2.get().error, "DeadlineExceeded");
-    EXPECT_EQ(f3.get().status, "ok");
 
     const ServiceStats stats = core.stats();
     EXPECT_EQ(stats.errors, 2u);
     EXPECT_EQ(stats.expired_in_queue, 2u);
     EXPECT_EQ(stats.completed, 1u);
-    // All three shared a digest, so one batch was drained — but only the
-    // live request counts as batched work.
-    EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(stats.batched_requests, 1u);
-    EXPECT_EQ(stats.avg_batch(), 1.0);
+    EXPECT_EQ(stats.memo_served, 0u);
+    EXPECT_EQ(stats.busy_ms, busy_before);
 
     core.publish_metrics();
     std::map<std::string, double> snapshot;
@@ -924,7 +931,36 @@ TEST(ServiceCore, ExpiredInQueueRequestsAreNotBatchAccounted) {
         snapshot[name] = value;
     }
     EXPECT_EQ(snapshot.at("service.expired_in_queue"), 2.0);
-    EXPECT_EQ(snapshot.at("service.batched_requests"), 1.0);
+    EXPECT_EQ(snapshot.at("service.busy_ms"), busy_before);
+}
+
+TEST(ServiceCore, QueuedAndInlinePathsReportTheSameErrors) {
+    // serve_unbatched and the queue share one answer path, so an unknown
+    // digest, an invalid graph and an escalated engine fault read the same
+    // status, error and detail on both.
+    ServiceCore core(manual_options()); // nothing registered
+    const std::vector<std::pair<std::string, Request>> cases = {
+        {"UnknownGraph", game_by_digest(12345, "eulerian", 0)},
+        {"InvalidRequest",
+         parse_request("{\"type\":\"game\",\"machine\":\"eulerian\","
+                       "\"layers\":0,\"graph\":\"graph 3\\nedge 0 1\\n\"}",
+                       1, WireLimits{})},
+        {"NodeCrashed",
+         parse_request("{\"type\":\"game\",\"machine\":\"eulerian\","
+                       "\"layers\":0,\"fault_seed\":7,\"fault_crash\":1.0,"
+                       "\"graph\":\"" + cycle6_payload() + "\"}",
+                       1, WireLimits{})},
+    };
+    for (const auto& [error, request] : cases) {
+        const Response queued = core.call(request);
+        const Response inline_ = core.serve_unbatched(request);
+        EXPECT_EQ(queued.status, "error") << error;
+        EXPECT_EQ(queued.error, error);
+        EXPECT_FALSE(queued.detail.empty()) << error;
+        EXPECT_EQ(inline_.status, queued.status) << error;
+        EXPECT_EQ(inline_.error, queued.error) << error;
+        EXPECT_EQ(inline_.detail, queued.detail) << error;
+    }
 }
 
 TEST(GraphStore, DirtyBallStopsAtExactRadius) {

@@ -212,8 +212,8 @@ std::string complete_graph(int n) {
 }
 
 int generate(long count, std::uint64_t seed) {
-    // A small pool so graphs repeat: repeats are what exercise micro-batching
-    // and the cross-request memo.
+    // A small pool so graphs repeat: repeats are what exercise the
+    // cross-request memo and the shared verdict tables.
     std::vector<std::string> graphs;
     for (int n = 4; n <= 7; ++n) {
         graphs.push_back(cycle_graph(n, false));

@@ -1,4 +1,4 @@
-// lphd: the batched query-serving daemon (DESIGN.md "Serving layer" and
+// lphd: the query-serving daemon (DESIGN.md "Serving layer" and
 // "Resilience").
 //
 // Speaks one strict JSON object per line over stdin/stdout (--pipe) or a
@@ -10,11 +10,9 @@
 //   lphd --port 7411 --threads 4 --queue-cap 512 --default-deadline-ms 250
 //   lphd --port 0 --supervise 2 --snapshot-dir /tmp/lph-snap
 //
-// Serving knobs: --threads N (engine workers), --queue-cap N (admission
-// control), --max-batch N (same-graph micro-batching), --default-deadline-ms
-// X, and --no-memo / --no-batch / --no-shared-cache to disable the
-// cross-request result memo, graph micro-batching, or the per-machine shared
-// view cache (the loadgen's ablation switches).
+// Serving knobs: --threads N (engine workers, each serving one request per
+// dequeue), --queue-cap N (admission control), --memo-entries N (result memo
+// capacity) and --default-deadline-ms X.
 //
 // Admission control (off by default): --admission prices every workload
 // request through the calibrated cost model before it is queued.  Requests
@@ -28,7 +26,7 @@
 //   --supervise N          fork N worker processes sharing one listener; a
 //                          crashed worker is restarted with exponential
 //                          backoff, a crash-looping one is given up on
-//   --snapshot FILE        warm-start memo/view-cache persistence (single
+//   --snapshot FILE        warm-start memo/verdict-table persistence (single
 //                          process); loaded at startup, saved periodically
 //                          and on clean shutdown
 //   --snapshot-dir DIR     per-worker snapshot files (supervised mode)
@@ -39,7 +37,7 @@
 //                          kill exits the worker mid-request
 //
 // Observability: --trace=OUT.json exports a Chrome/Perfetto trace of every
-// queue/batch/dispatch stage; --metrics=OUT.json writes the service.* metrics
+// queue/request/dispatch stage; --metrics=OUT.json writes the service.* metrics
 // snapshot (same schema as the bench BENCH rows).  Both paths are probed at
 // startup: an unwritable path is a structured startup error, not a silent
 // loss at exit.  In supervised mode --trace names a *directory*: each worker
@@ -87,12 +85,8 @@ struct Options {
     int port = -1; // -1 = unset; 0 = pick a free port
     unsigned threads = 0;
     std::size_t queue_cap = 256;
-    std::size_t max_batch = 32;
     std::size_t memo_entries = 1 << 12;
     double default_deadline_ms = 0;
-    bool memo = true;
-    bool batch = true;
-    bool shared_cache = true;
     double slow_ms = 0;
     std::string trace_path;
     std::string metrics_path;
@@ -116,9 +110,8 @@ struct Options {
 [[noreturn]] void usage_error(const std::string& message) {
     std::cerr << "lphd: " << message << "\n"
               << "usage: lphd (--pipe | --port P) [--threads N]\n"
-              << "            [--queue-cap N] [--max-batch N]\n"
-              << "            [--memo-entries N] [--default-deadline-ms X]\n"
-              << "            [--no-memo] [--no-batch] [--no-shared-cache]\n"
+              << "            [--queue-cap N] [--memo-entries N]\n"
+              << "            [--default-deadline-ms X]\n"
               << "            [--admission] [--admission-max-cost-us X]\n"
               << "            [--admission-defer-cost-us X]\n"
               << "            [--admission-big-threads N]\n"
@@ -154,18 +147,10 @@ Options parse_args(int argc, char** argv) {
             opt.threads = static_cast<unsigned>(std::stoul(value()));
         } else if (arg == "--queue-cap") {
             opt.queue_cap = std::stoull(value());
-        } else if (arg == "--max-batch") {
-            opt.max_batch = std::stoull(value());
         } else if (arg == "--memo-entries") {
             opt.memo_entries = std::stoull(value());
         } else if (arg == "--default-deadline-ms") {
             opt.default_deadline_ms = std::stod(value());
-        } else if (arg == "--no-memo") {
-            opt.memo = false;
-        } else if (arg == "--no-batch") {
-            opt.batch = false;
-        } else if (arg == "--no-shared-cache") {
-            opt.shared_cache = false;
         } else if (arg == "--admission") {
             opt.admission = true;
         } else if (arg == "--admission-max-cost-us") {
@@ -225,8 +210,8 @@ Options parse_args(int argc, char** argv) {
     if (opt.port > 65535) {
         usage_error("--port must be in [0, 65535]");
     }
-    if (opt.queue_cap == 0 || opt.max_batch == 0) {
-        usage_error("--queue-cap and --max-batch must be positive");
+    if (opt.queue_cap == 0) {
+        usage_error("--queue-cap must be positive");
     }
     if (opt.supervise < 0 || opt.supervise > 64) {
         usage_error("--supervise must be in [0, 64]");
@@ -274,12 +259,8 @@ service::ServiceOptions make_service_options(const Options& opt,
     service::ServiceOptions service_options;
     service_options.threads = opt.threads;
     service_options.queue_capacity = opt.queue_cap;
-    service_options.max_batch = opt.max_batch;
     service_options.memo_entries = opt.memo_entries;
     service_options.default_deadline_ms = opt.default_deadline_ms;
-    service_options.memoize_results = opt.memo;
-    service_options.batch_by_graph = opt.batch;
-    service_options.share_view_cache = opt.shared_cache;
     service_options.snapshot_period_ms = opt.snapshot_period_ms;
     service_options.slow_ms = opt.slow_ms;
     service_options.admission.enabled = opt.admission;
@@ -359,8 +340,7 @@ int serve_tcp(const Options& opt, int listen_fd, int worker_index,
         std::cerr << "lphd" << worker_suffix(worker_index) << ": completed "
                   << stats.completed << ", errors " << stats.errors
                   << ", rejected " << stats.rejected << ", memo served "
-                  << stats.memo_served << ", batches " << stats.batches
-                  << " (avg " << stats.avg_batch() << ")\n";
+                  << stats.memo_served << "\n";
     }
 
     const std::string suffix = worker_suffix(worker_index);
@@ -610,9 +590,7 @@ int main(int argc, char** argv) {
             const service::ServiceStats stats = core.stats();
             std::cerr << "lphd: completed " << stats.completed << ", errors "
                       << stats.errors << ", rejected " << stats.rejected
-                      << ", memo served " << stats.memo_served << ", batches "
-                      << stats.batches << " (avg " << stats.avg_batch()
-                      << ")\n";
+                      << ", memo served " << stats.memo_served << "\n";
         }
         if (!opt.trace_path.empty() &&
             !session.export_chrome_trace(opt.trace_path)) {
